@@ -162,9 +162,9 @@ def cmd_sim(args) -> int:
     vectors = _sim_vectors(args, netlist)
     if args.timed:
         clock = ClockConfig(parse_frequency(args.clock), args.bias)
-        trace = simulate_timed(netlist, clock, vectors, backend=args.backend)
+        trace = simulate_timed(netlist, clock, vectors)
     else:
-        trace = simulate_logic(netlist, vectors, backend=args.backend)
+        trace = simulate_logic(netlist, vectors)
     out = _out_dir(args)
     trace.to_csv(out / "trace.csv")
 
@@ -184,7 +184,7 @@ def cmd_sim(args) -> int:
         "pipeline_offset_cycles": trace.offset_cycles,
         "total_events": trace.total_events,
         "check_failures": failures if args.check else None,
-        "backend": args.backend or backend_name(),
+        "backend": backend_name(),
         "violations": [
             {"gate": v.name, "phase": v.phase, "arrival_ps": v.arrival_ps}
             for v in trace.violations
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--config", help="gate parameter table (INI)")
     p.add_argument("--seed", type=int, default=0xACE1)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p.add_argument("--format", choices=("table", "json"), default="table")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an adder netlist")
@@ -442,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--timed", action="store_true")
     s.add_argument("--clock", default="10GHz")
     s.add_argument("--bias", type=float, default=1.0)
-    s.add_argument("--backend", choices=("auto", "compiled", "python"))
     s.set_defaults(func=cmd_sim)
 
     m = sub.add_parser("margins", help="clock-power margin sweep")

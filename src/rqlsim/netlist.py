@@ -154,63 +154,102 @@ class Netlist:
 
     @classmethod
     def loads(cls, text: str) -> "Netlist":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != NETLIST_FORMAT:
+        """Parse the text form; malformed input raises ``ValueError`` naming
+        the 1-based line at fault."""
+        lines = [
+            (lineno, ln)
+            for lineno, ln in enumerate(text.splitlines(), 1)
+            if ln.strip()
+        ]
+        if not lines or lines[0][1].strip() != NETLIST_FORMAT:
             raise ValueError("not a rqlnet file (bad or missing header)")
-        header: dict[str, str] = {}
+        header: dict[str, tuple[int, str]] = {}
         gates: list[Gate] = []
-        for ln in lines[1:]:
+        for lineno, ln in lines[1:]:
             key, _, rest = ln.partition(" ")
             if key != "gate":
-                header[key] = rest.strip()
+                header[key] = (lineno, rest.strip())
                 continue
-            fields = rest.split()
-            gid = int(fields[0])
-            kind = GateKind(fields[1])
-            kv = dict(f.split("=", 1) for f in fields[2:])
-            fanin_s = kv["fanin"]
-            fanin = tuple(
-                Pin(int(a), int(b))
-                for a, b in (p.split(".") for p in fanin_s.split(",") if p != "-")
-            )
-            spec = GateSpec(kind, int(kv["jj"]), float(kv["ic"]), int(kv["seq"]))
-            gates.append(
-                Gate(
-                    gid,
-                    spec,
-                    fanin,
-                    int(kv["phase"]),
-                    kv["name"],
-                    kv["region"],
-                    float(kv["ptl"]) if "ptl" in kv else None,
-                )
-            )
-        inputs = {}
-        for tok in header.get("inputs", "").split():
-            name, _, gid = tok.partition(":")
-            inputs[name] = int(gid)
-        outputs = {}
-        for tok in header.get("outputs", "").split():
-            name, _, pin = tok.partition(":")
-            a, b = pin.split(".")
-            outputs[name] = Pin(int(a), int(b))
-        idle = tuple(
-            int(p) for p in header.get("idle", "").split(",") if p != ""
-        )
+            try:
+                gates.append(_parse_gate(rest))
+            except KeyError as exc:
+                raise ValueError(
+                    f"line {lineno}: bad gate record: missing {exc.args[0]}="
+                ) from None
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad gate record: {exc}") from None
+
+        def field(key, parse, default=None):
+            if key not in header:
+                if default is None:
+                    raise ValueError(
+                        f"line {lines[0][0]}: header has no {key!r} record"
+                    )
+                return parse(default)
+            lineno, value = header[key]
+            try:
+                return parse(value)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad {key} record: {exc}") from None
+
         return cls(
             gates,
-            inputs,
-            outputs,
-            int(header["width"]),
-            int(header["phases"]),
-            idle,
-            bool(int(header.get("chip_mode", "0"))),
+            field("inputs", _parse_inputs, ""),
+            field("outputs", _parse_outputs, ""),
+            field("width", int),
+            field("phases", int),
+            field("idle", _parse_idle, ""),
+            field("chip_mode", lambda s: bool(int(s)), "0"),
         )
 
     @classmethod
     def load(cls, path) -> "Netlist":
         with open(path) as fh:
             return cls.loads(fh.read())
+
+
+def _parse_gate(rest: str) -> Gate:
+    fields = rest.split()
+    if len(fields) < 2:
+        raise ValueError("expected an id and a kind")
+    kv = dict(f.split("=", 1) for f in fields[2:])
+    fanin = tuple(
+        Pin(int(a), int(b))
+        for a, b in (p.split(".") for p in kv["fanin"].split(",") if p != "-")
+    )
+    spec = GateSpec(
+        GateKind(fields[1]), int(kv["jj"]), float(kv["ic"]), int(kv["seq"])
+    )
+    return Gate(
+        int(fields[0]),
+        spec,
+        fanin,
+        int(kv["phase"]),
+        kv["name"],
+        kv["region"],
+        float(kv["ptl"]) if "ptl" in kv else None,
+    )
+
+
+def _parse_inputs(text: str) -> dict[str, int]:
+    inputs = {}
+    for tok in text.split():
+        name, _, gid = tok.partition(":")
+        inputs[name] = int(gid)
+    return inputs
+
+
+def _parse_outputs(text: str) -> dict[str, Pin]:
+    outputs = {}
+    for tok in text.split():
+        name, _, pin = tok.partition(":")
+        a, b = pin.split(".")
+        outputs[name] = Pin(int(a), int(b))
+    return outputs
+
+
+def _parse_idle(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(",") if p != "")
 
 
 def validate(netlist: Netlist, max_fanout: int = 4) -> list[str]:

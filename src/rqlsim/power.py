@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .gates import N_OUTPUTS, NOMINAL_JUNCTION_DELAY_PS, PHI0_VS
 from .netlist import Netlist
-from .sim.logic import SimTrace
+from .sim.logic import SimTrace, switching_activity
 from .units import format_si
 
 DYNAMIC_PREFACTOR = 0.33
@@ -45,7 +45,7 @@ def activity_power(trace: SimTrace, netlist: Netlist, frequency_hz: float) -> fl
     if trace.n_vectors == 0:
         return 0.0
     energy = 0.0
-    per_gate, _ = _events_by_gate(trace)
+    per_gate, _ = switching_activity(trace)
     for g in netlist.gates:
         if g.spec.jj_count == 0:
             continue
@@ -62,13 +62,6 @@ def activity_power(trace: SimTrace, netlist: Netlist, frequency_hz: float) -> fl
         )
         energy += events * e_gate
     return energy * frequency_hz / trace.n_vectors
-
-
-def _events_by_gate(trace: SimTrace):
-    per_gate = {
-        int(gid): int(ev) for gid, ev in zip(trace.gate_ids, trace.gate_events)
-    }
-    return per_gate, trace.total_events
 
 
 @dataclass

@@ -1,4 +1,4 @@
-from .engine import HAVE_COMPILED, backend_name
+from .engine import backend_name
 from .harness import InputProgram, Lfsr16, prbs_stream, shift_register_pairs
 from .logic import SimTrace, simulate_logic, switching_activity
 from .timing import (
@@ -15,7 +15,6 @@ from .timing import (
 )
 
 __all__ = [
-    "HAVE_COMPILED",
     "backend_name",
     "InputProgram",
     "Lfsr16",

@@ -2,8 +2,7 @@
 
 Every gate output pin becomes one value slot; slots are ordered topologically
 so a single forward pass evaluates the whole DAG.  Values are uint64 words
-holding 64 input vectors each, which both backends (compiled and pure
-Python) consume unchanged.
+holding 64 input vectors each.
 """
 
 from __future__ import annotations

@@ -1,44 +1,22 @@
-"""Backend selection and the word-level evaluation entry point.
+"""The word-level evaluation kernel and its entry point.
 
-The compiled Cython kernel is used when the extension built; otherwise the
-numpy fallback takes over transparently.  ``run_program`` owns the packing of
-input vectors into words and returns the full slot/word value matrix.
+``run_program`` owns the packing of input vectors into words and returns the
+full slot/word value matrix; ``_eval_words`` evaluates the slots with numpy
+bitwise ops row by row over the word axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .encode import Program
-
-try:
-    from . import _kernel as _backend
-
-    HAVE_COMPILED = True
-except ImportError:  # extension not built
-    from . import _kernel_py as _backend
-
-    HAVE_COMPILED = False
-
-from . import _kernel_py as _python_backend
+from .encode import OP_AND, OP_ANDNOT, OP_BUF, OP_INPUT, OP_OR, Program
 
 
 def backend_name() -> str:
-    return _backend.backend_name()
-
-
-def _get_backend(name: str | None):
-    if name in (None, "auto"):
-        return _backend
-    if name == "python":
-        return _python_backend
-    if name == "compiled":
-        if not HAVE_COMPILED:
-            raise RuntimeError("compiled kernel is not available")
-        from . import _kernel
-
-        return _kernel
-    raise ValueError(f"unknown backend {name!r}")
+    # Kept, with this exact value, because benchmark results and the sim
+    # summary.json record it, and results from different kernels are not
+    # compared.
+    return "python"
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -55,11 +33,27 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
 
 
+def _eval_words(ops, src_a, src_b, values: np.ndarray) -> None:
+    for s in range(values.shape[0]):
+        op = ops[s]
+        if op == OP_INPUT:
+            continue
+        a = values[src_a[s]]
+        b = values[src_b[s]]
+        if op == OP_OR:
+            np.bitwise_or(a, b, out=values[s])
+        elif op == OP_AND:
+            np.bitwise_and(a, b, out=values[s])
+        elif op == OP_ANDNOT:
+            np.bitwise_and(a, np.bitwise_not(b), out=values[s])
+        elif op == OP_BUF:
+            values[s][:] = a
+
+
 def run_program(
     program: Program,
     input_bits: dict[str, np.ndarray],
     n_vectors: int,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Evaluate all slots for ``n_vectors`` stimuli.
 
@@ -77,9 +71,7 @@ def run_program(
         if len(bits) != n_vectors:
             raise ValueError(f"stimulus {name!r} has wrong length")
         values[slot] = pack_bits(bits)
-    _get_backend(backend).eval_words(
-        program.ops, program.src_a, program.src_b, values
-    )
+    _eval_words(program.ops, program.src_a, program.src_b, values)
     # Mask tail bits so popcounts see only real vectors.
     tail = n_vectors % 64
     if tail:

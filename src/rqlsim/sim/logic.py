@@ -83,7 +83,6 @@ def simulate_logic(
     netlist: Netlist,
     vectors,
     *,
-    backend: str | None = None,
     want_wave_events: bool = True,
     want_event_matrix: bool = False,
 ) -> SimTrace:
@@ -113,7 +112,7 @@ def simulate_logic(
     for i in range(netlist.width):
         input_bits[f"A{i}"] = (a_vals >> np.uint64(i)) & np.uint64(1)
         input_bits[f"B{i}"] = (b_vals >> np.uint64(i)) & np.uint64(1)
-    values = engine.run_program(program, input_bits, n, backend=backend)
+    values = engine.run_program(program, input_bits, n)
 
     sums = np.zeros(n, dtype=np.uint64)
     for i in range(netlist.width):

@@ -1,7 +1,6 @@
 import pytest
 
 from rqlsim import build_kogge_stone
-from rqlsim.sim import HAVE_COMPILED
 
 
 @pytest.fixture(scope="session")
@@ -13,11 +12,3 @@ def adder8():
 @pytest.fixture(scope="session")
 def adder8_chip():
     return build_kogge_stone(8, chip_mode=True)
-
-
-def pytest_generate_tests(metafunc):
-    if "backend" in metafunc.fixturenames:
-        backends = ["python"]
-        if HAVE_COMPILED:
-            backends.append("compiled")
-        metafunc.parametrize("backend", backends)

@@ -45,6 +45,11 @@ class TestGen:
         code, _ = run(tmp_path, "gen", "--width", "7")
         assert code == 2
 
+    def test_csv_format_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "--format", "csv", "gen"])
+        assert exc.value.code == 2
+
 
 @pytest.fixture(scope="module")
 def netlist_file(tmp_path_factory):
@@ -70,6 +75,18 @@ class TestValidateCmd:
     def test_missing_file_is_io_error(self, tmp_path):
         code, _ = run(tmp_path, "validate", str(tmp_path / "nope.rqlnet"))
         assert code == 3
+
+    def test_malformed_record_is_usage_error(self, tmp_path, netlist_file, capsys):
+        bad = tmp_path / "bad.rqlnet"
+        lines = netlist_file.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith("gate "))
+        lines[k] = lines[k].split(" fanin=")[0]
+        bad.write_text("\n".join(lines) + "\n")
+        code, _ = run(tmp_path, "validate", str(bad))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rqlsim: line {k + 1}: ")
+        assert "Traceback" not in err
 
 
 class TestSim:

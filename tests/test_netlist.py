@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rqlsim.gates import DEFAULT_GATE_TABLE, GateKind
@@ -16,6 +18,15 @@ def _gate(gid, kind, fanin, phase, name, ic=162.0, jj=None, region="cla_core"):
             min(spec.seq_depth, jj) if jj is not None else spec.seq_depth,
         )
     return Gate(gid, spec, tuple(fanin), phase, name, region)
+
+
+def _edit_first_gate(text, edit):
+    """Apply ``edit`` to the first gate record; return the text and that
+    record's 1-based line number."""
+    lines = text.splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("gate "))
+    lines[k] = edit(lines[k])
+    return "\n".join(lines) + "\n", k + 1
 
 
 class TestValidate:
@@ -104,6 +115,39 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError, match="rqlnet"):
             Netlist.loads("not a netlist\n")
+
+    @pytest.mark.parametrize("key", ["fanin", "phase", "name", "region"])
+    def test_missing_gate_key_names_the_line(self, adder8, key):
+        text, lineno = _edit_first_gate(
+            adder8.dumps(), lambda ln: re.sub(rf" {key}=\S+", "", ln)
+        )
+        with pytest.raises(ValueError, match=rf"^line {lineno}: .*missing {key}="):
+            Netlist.loads(text)
+
+    @pytest.mark.parametrize(
+        "pattern, repl",
+        [(r"phase=\d+", "phase=one"), (r"jj=\d+", "jj=1.5"), (r"^gate \d+", "gate x")],
+        ids=["phase", "jj", "gid"],
+    )
+    def test_non_integer_gate_field_names_the_line(self, adder8, pattern, repl):
+        text, lineno = _edit_first_gate(
+            adder8.dumps(), lambda ln: re.sub(pattern, repl, ln)
+        )
+        with pytest.raises(ValueError, match=rf"^line {lineno}: bad gate record"):
+            Netlist.loads(text)
+
+    @pytest.mark.parametrize("key", ["width", "phases"])
+    def test_missing_header_record(self, adder8, key):
+        text = "\n".join(
+            ln for ln in adder8.dumps().splitlines() if not ln.startswith(key + " ")
+        )
+        with pytest.raises(ValueError, match=rf"^line 1: header has no '{key}'"):
+            Netlist.loads(text)
+
+    def test_non_integer_header_names_the_line(self, adder8):
+        text = adder8.dumps().replace("width 8\n", "width eight\n", 1)
+        with pytest.raises(ValueError, match="^line 2: bad width record"):
+            Netlist.loads(text)
 
 
 class TestStats:

@@ -32,14 +32,14 @@ def dag_eval(netlist, a, b):
 
 
 class TestSimulateLogic:
-    def test_zeros_propagate_nothing(self, adder8, backend):
-        trace = simulate_logic(adder8, [(0, 0)] * 4, backend=backend)
+    def test_zeros_propagate_nothing(self, adder8):
+        trace = simulate_logic(adder8, [(0, 0)] * 4)
         assert all(int(s) == 0 for s in trace.sums)
         assert trace.total_events == 0
         assert list(trace.wave_events) == [0, 0, 0, 0]
 
-    def test_ripple_to_the_top(self, adder8, backend):
-        trace = simulate_logic(adder8, [(255, 1)], backend=backend)
+    def test_ripple_to_the_top(self, adder8):
+        trace = simulate_logic(adder8, [(255, 1)])
         assert int(trace.sums[0]) == 0
         assert int(trace.couts[0]) == 1
 
@@ -48,10 +48,10 @@ class TestSimulateLogic:
         assert int(trace.sums[0]) == 0
         assert trace.couts is None
 
-    def test_matches_direct_dag_evaluation(self, adder8, backend):
+    def test_matches_direct_dag_evaluation(self, adder8):
         rng = np.random.default_rng(21)
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, 256, (64, 2))]
-        trace = simulate_logic(adder8, pairs, backend=backend)
+        trace = simulate_logic(adder8, pairs)
         for k, (a, b) in enumerate(pairs):
             s, cout, _ = dag_eval(adder8, a, b)
             assert int(trace.sums[k]) == s
@@ -101,21 +101,6 @@ class TestSimulateLogic:
     def test_stimulus_length_mismatch(self, adder8):
         with pytest.raises(ValueError):
             simulate_logic(adder8, (np.array([1, 2]), np.array([1])))
-
-    def test_backends_agree_bit_exactly(self, adder8):
-        from rqlsim.sim import HAVE_COMPILED
-
-        if not HAVE_COMPILED:
-            pytest.skip("compiled kernel not built")
-        rng = np.random.default_rng(5)
-        a = rng.integers(0, 256, 333, dtype=np.uint64)
-        b = rng.integers(0, 256, 333, dtype=np.uint64)
-        t1 = simulate_logic(adder8, (a, b), backend="compiled")
-        t2 = simulate_logic(adder8, (a, b), backend="python")
-        assert np.array_equal(t1.sums, t2.sums)
-        assert np.array_equal(t1.couts, t2.couts)
-        assert np.array_equal(t1.gate_events, t2.gate_events)
-        assert np.array_equal(t1.wave_events, t2.wave_events)
 
     def test_trace_csv(self, adder8, tmp_path):
         trace = simulate_logic(adder8, [(16, 1), (255, 255)])
