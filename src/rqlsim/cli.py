@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, validate, sim, margins, power, sidebands, clocknet.
-Every run writes a manifest (arguments and seed) next to its outputs, and
-all outputs are deterministic functions of the manifest.
+Every run writes a manifest of its arguments next to its outputs, and all
+outputs are deterministic functions of the manifest.
 
 Exit codes: 0 success, 1 check failure, 2 usage/parameter error, 3 I/O error.
 """
@@ -44,7 +44,6 @@ def _write_manifest(args, out: Path, extra=None) -> None:
         "arguments": {
             k: v for k, v in sorted(vars(args).items()) if k != "func"
         },
-        "seed": getattr(args, "seed", None),
     }
     if extra:
         manifest.update(extra)
@@ -137,12 +136,20 @@ def _sim_vectors(args, netlist) -> list[tuple[int, int]]:
     if args.vectors:
         pairs = []
         with open(args.vectors) as fh:
-            for ln in fh:
+            for lineno, ln in enumerate(fh, 1):
                 ln = ln.split("#")[0].strip()
                 if not ln:
                     continue
-                a_s, b_s = ln.replace(",", " ").split()
-                pairs.append((int(a_s, 16), int(b_s, 16)))
+                try:
+                    a, b = (int(v, 16) for v in ln.replace(",", " ").split())
+                    if a < 0 or b < 0:
+                        raise ValueError("negative operand")
+                except ValueError:
+                    raise ValueError(
+                        f"{args.vectors}, line {lineno}: expected two "
+                        f"non-negative hex values 'A B', got {ln!r}"
+                    ) from None
+                pairs.append((a, b))
         return pairs
     if args.serial:
         program = InputProgram.from_file(args.serial)
@@ -412,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--config", help="gate parameter table (INI)")
-    p.add_argument("--seed", type=int, default=0xACE1)
     p.add_argument("--format", choices=("table", "json"), default="table")
     sub = p.add_subparsers(dest="command", required=True)
 

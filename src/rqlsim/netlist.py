@@ -86,14 +86,33 @@ class Netlist:
         return fo
 
     def topo_order(self) -> list[int]:
-        """Gate ids in topological order; raises on cycles."""
+        """Gate ids in topological order; raises on a dangling fanin or a
+        cycle."""
         if self._topo is not None:
             return self._topo
-        indeg = {g.gid: len(g.fanin) for g in self.gates}
+        for g in self.gates:
+            for pin in g.fanin:
+                if pin.gid not in self._by_gid:
+                    raise ValueError(
+                        f"gate {g.gid} ({g.name}): dangling fanin "
+                        f"{pin.gid}.{pin.pin}"
+                    )
+        order = self._kahn_order()
+        if len(order) != len(self.gates):
+            raise ValueError("netlist contains a cycle")
+        self._topo = order
+        return order
+
+    def _kahn_order(self) -> list[int]:
+        """Kahn's order over the fanins that name existing gates; it leaves
+        out the gates on or behind a cycle."""
+        indeg = {g.gid: 0 for g in self.gates}
         consumers: dict[int, list[int]] = {}
         for g in self.gates:
             for pin in g.fanin:
-                consumers.setdefault(pin.gid, []).append(g.gid)
+                if pin.gid in self._by_gid:
+                    indeg[g.gid] += 1
+                    consumers.setdefault(pin.gid, []).append(g.gid)
         ready = sorted(gid for gid, d in indeg.items() if d == 0)
         order: list[int] = []
         while ready:
@@ -103,9 +122,6 @@ class Netlist:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     ready.append(c)
-        if len(order) != len(self.gates):
-            raise ValueError("netlist contains a cycle")
-        self._topo = order
         return order
 
     def replace_gates(self, gates: Iterable[Gate], outputs=None) -> "Netlist":
@@ -260,9 +276,7 @@ def validate(netlist: Netlist, max_fanout: int = 4) -> list[str]:
     interconnect cells, and that I/O references resolve.
     """
     diags: list[str] = []
-    try:
-        netlist.topo_order()
-    except ValueError:
+    if len(netlist._kahn_order()) != len(netlist.gates):
         diags.append("netlist contains a cycle")
 
     for g in netlist.gates:

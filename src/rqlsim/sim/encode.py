@@ -49,7 +49,13 @@ def encode(netlist: Netlist) -> Program:
         kind = g.kind
         n_out = N_OUTPUTS[kind]
         first = len(ops)
-        srcs = [pin_slot[p] for p in g.fanin]
+        try:
+            srcs = [pin_slot[p] for p in g.fanin]
+        except KeyError as exc:
+            raise ValueError(
+                f"gate {gid} ({g.name}): fanin pin {exc.args[0].gid}."
+                f"{exc.args[0].pin} is driven by no gate"
+            ) from None
         if kind is GateKind.ANDOR:
             ops += [OP_OR, OP_AND]
             src_a += [srcs[0], srcs[0]]
@@ -79,9 +85,13 @@ def encode(netlist: Netlist) -> Program:
             pin_slot[Pin(gid, k)] = first + k
         gate_slots.append((gid, first, n_out))
 
-    output_slots = {
-        name: pin_slot[pin] for name, pin in netlist.outputs.items()
-    }
+    output_slots = {}
+    for name, pin in netlist.outputs.items():
+        if pin not in pin_slot:
+            raise ValueError(
+                f"output {name}: pin {pin.gid}.{pin.pin} is driven by no gate"
+            )
+        output_slots[name] = pin_slot[pin]
     return Program(
         ops=np.asarray(ops, dtype=np.uint8),
         src_a=np.asarray(src_a, dtype=np.int32),

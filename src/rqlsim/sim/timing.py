@@ -4,9 +4,12 @@ Within one phase window, a pulse accumulates one junction delay per
 sequential junction along its in-phase path, plus stripline propagation at
 100 um/ps where a passive interconnect is annotated.  A gate whose output
 settles after the acceptance window of its phase misses the clock peak and
-is flagged.  The lower clock-power margin is the smallest relative bias that
-clears all windows; the upper margin is the over-bias ceiling, a calibrated
-constant.
+is flagged.  At relative bias ``b`` a gate's arrival is the largest
+``L + S * d0 / b`` over its in-phase paths (``L`` stripline ps, ``S``
+sequential junctions), so the lower clock-power margin, the smallest bias
+that clears every window ``W``, is ``max S * d0 / (W - L)`` snapped to the
+float grid of ``check_windows``.  The upper margin is the over-bias ceiling,
+a calibrated constant.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from ..gates import ClockConfig, GateKind, junction_delay
-from ..netlist import Netlist
+from ..netlist import Gate, Netlist
 from .logic import simulate_logic
 
 PTL_SPEED_UM_PER_PS = 100.0
@@ -23,6 +26,11 @@ PTL_SPEED_UM_PER_PS = 100.0
 # Over-bias ceiling (relative amplitude) calibrated once so the 8-bit adder
 # shows a 4.6 dB clock-power margin at 10 GHz; see calibrate_overbias.
 DEFAULT_OVERBIAS = 1.63
+
+# Smallest relative bias a margin is resolved to, and the most float steps
+# the closed-form bias may take to reach the exact clean boundary.
+_BIAS_FLOOR = 1e-6
+_MAX_SNAP_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,17 @@ class TimingViolation:
         return self.window_ps - self.arrival_ps
 
 
+def _ptl_delay_ps(g: Gate) -> float:
+    """Stripline delay ahead of a gate; nonzero only for a PTL receiver."""
+    if g.kind is not GateKind.PTL_RECEIVER:
+        return 0.0
+    if g.ptl_um is None:
+        raise ValueError(
+            f"gate {g.gid} ({g.name}): PTL receiver lacks a length annotation"
+        )
+    return g.ptl_um / PTL_SPEED_UM_PER_PS
+
+
 def arrival_times(netlist: Netlist, clock: ClockConfig) -> dict[int, float]:
     """Static arrival offset (ps) of every gate output within its phase."""
     arr: dict[int, float] = {}
@@ -50,12 +69,7 @@ def arrival_times(netlist: Netlist, clock: ClockConfig) -> dict[int, float]:
             if drv.phase == g.phase:
                 t = max(t, arr[pin.gid])
         if g.kind is GateKind.PTL_RECEIVER:
-            if g.ptl_um is None:
-                raise ValueError(
-                    f"gate {g.gid} ({g.name}): PTL receiver lacks a length "
-                    f"annotation"
-                )
-            t += g.ptl_um / PTL_SPEED_UM_PER_PS
+            t += _ptl_delay_ps(g)
         arr[gid] = t + g.spec.seq_depth * d
     return arr
 
@@ -126,63 +140,86 @@ def _power_db(bias_rel: float) -> float:
     return 20.0 * math.log10(bias_rel)
 
 
+def _pareto(pairs) -> tuple[tuple[float, int], ...]:
+    """The ``(L, S)`` pairs that no other pair matches or beats in both."""
+    front: list[tuple[float, int]] = []
+    for l, s in sorted(pairs, reverse=True):
+        if not front or s > front[-1][1]:
+            front.append((l, s))
+    return tuple(front)
+
+
+def _path_envelope(netlist: Netlist) -> dict[int, tuple[tuple[float, int], ...]]:
+    """Pareto-maximal ``(L, S)`` pairs over each gate's in-phase paths:
+    ``L`` stripline ps, ``S`` sequential junctions, so that ``arrival_times``
+    at bias ``b`` is the largest ``L + S * d0 / b`` over a gate's pairs."""
+    env = {}
+    for gid in netlist.topo_order():
+        g = netlist.gate(gid)
+        paths = [(0.0, 0)]
+        for pin in g.fanin:
+            if netlist.gate(pin.gid).phase == g.phase:
+                paths += env[pin.gid]
+        ptl, seq = _ptl_delay_ps(g), g.spec.seq_depth
+        env[gid] = _pareto((l + ptl, s + seq) for l, s in paths)
+    return env
+
+
+def _window_envelope(netlist: Netlist) -> tuple[tuple[float, int], ...]:
+    """One envelope for every gate ``check_windows`` checks."""
+    env = _path_envelope(netlist)
+    return _pareto(p for g in netlist.gates if g.spec.jj_count for p in env[g.gid])
+
+
+def _min_bias(netlist, envelope, frequency_hz, ceiling, window_frac) -> float:
+    def violated(bias: float) -> bool:
+        clock = ClockConfig(frequency_hz, bias, window_frac)
+        return bool(check_windows(netlist, clock)[1])
+
+    window = ClockConfig(frequency_hz, 1.0, window_frac).window_ps
+    if any(l > window or (l == window and s) for l, s in envelope):
+        return math.nan
+    d0 = junction_delay(1.0)
+    b = max([_BIAS_FLOOR] + [s * d0 / (window - l) for l, s in envelope if s])
+    if b > ceiling:
+        if violated(ceiling):
+            return math.nan
+        b = ceiling
+    # Rounded arrivals move the boundary a few ulps (about W / (W - L)):
+    # step to the smallest clean float.
+    for _ in range(_MAX_SNAP_STEPS):
+        if violated(b):
+            b = math.nextafter(b, math.inf)
+            continue
+        below = math.nextafter(b, 0.0)
+        if below < _BIAS_FLOOR or violated(below):
+            return b if b <= ceiling else math.nan
+        b = below
+    raise ValueError(
+        f"bias floor at {frequency_hz:g} Hz not resolved within "
+        f"{_MAX_SNAP_STEPS} float steps of {b:g}: W - L nearly cancels"
+    )
+
+
 def min_operating_bias(
     netlist: Netlist,
     frequency_hz: float,
     *,
     ceiling: float = DEFAULT_OVERBIAS,
     receiver_window_frac: float = 0.0,
-    bias_grid=None,
 ) -> float:
-    """Smallest relative bias with zero timing violations, or NaN if not
-    reachable below the ceiling.
-
-    With a grid the answer is the first clean grid point (useful as an
-    independent check); otherwise the monotone violation boundary is
-    bisected.
-    """
-
-    def clean(b: float) -> bool:
-        clock = ClockConfig(frequency_hz, b, receiver_window_frac)
-        return not check_windows(netlist, clock)[1]
-
-    if bias_grid is not None:
-        for b in sorted(bias_grid):
-            if b <= 0:
-                raise ValueError("bias grid must be positive")
-            if b <= ceiling and clean(b):
-                return b
-        return math.nan
-
-    if math.isinf(ceiling):
-        hi = 1.0
-        for _ in range(64):
-            if clean(hi):
-                break
-            hi *= 2.0
-        else:
-            return math.nan
-    else:
-        if not clean(ceiling):
-            return math.nan
-        hi = ceiling
-    lo = 1e-6
-    if clean(lo):
-        return lo
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if clean(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    """Smallest relative bias (floor 1e-6) with zero timing violations, or
+    NaN if none lies at or below the ceiling or stripline delay alone fills
+    a window.  The returned bias is verified clean by ``check_windows`` and
+    the float just below it verified to violate."""
+    envelope = _window_envelope(netlist)
+    return _min_bias(netlist, envelope, frequency_hz, ceiling, receiver_window_frac)
 
 
 def margin_sweep(
     netlist: Netlist,
     frequencies,
     *,
-    bias_grid=None,
     ceiling: float = DEFAULT_OVERBIAS,
     receiver_window_frac: float = 0.0,
 ) -> MarginCurve:
@@ -196,15 +233,10 @@ def margin_sweep(
     if not freqs:
         raise ValueError("empty frequency range")
     upper = _power_db(ceiling)
+    envelope = _window_envelope(netlist)
     points = []
     for f in freqs:
-        b_min = min_operating_bias(
-            netlist,
-            f,
-            ceiling=ceiling,
-            receiver_window_frac=receiver_window_frac,
-            bias_grid=bias_grid,
-        )
+        b_min = _min_bias(netlist, envelope, f, ceiling, receiver_window_frac)
         lower = _power_db(b_min) if not math.isnan(b_min) else math.nan
         points.append(MarginPoint(f, lower, upper))
     return MarginCurve(points)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,15 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(tmp_path), "--format", "csv", "gen"])
         assert exc.value.code == 2
+
+    def test_seed_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "--seed", "1", "gen"])
+        assert exc.value.code == 2
+        _, out = run(tmp_path, "gen", "--width", "2")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "seed" not in manifest
+        assert "seed" not in manifest["arguments"]
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +156,68 @@ class TestSim:
     def test_no_stimulus_is_usage_error(self, tmp_path, netlist_file):
         code, _ = run(tmp_path, "sim", "--netlist", str(netlist_file))
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["3 4 5", "3 zz", "-3 4"])
+    def test_malformed_vectors_line_names_file_and_line(
+        self, tmp_path, netlist_file, capsys, line
+    ):
+        vf = tmp_path / "vecs.txt"
+        vf.write_text(f"1 2\n{line}\n")
+        code, _ = run(
+            tmp_path, "sim", "--netlist", str(netlist_file),
+            "--vectors", str(vf),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{vf}, line 2:" in err
+        assert "Traceback" not in err
+
+    def test_dangling_output_pin_is_usage_error(
+        self, tmp_path, netlist_file, capsys
+    ):
+        bad = tmp_path / "bad.rqlnet"
+        text = netlist_file.read_text()
+        bad.write_text(re.sub(r"S0:\d+\.\d+", "S0:99999.0", text, count=1))
+        code, _ = run(
+            tmp_path, "sim", "--netlist", str(bad), "--exhaustive",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "output S0" in err and "99999.0" in err
+        assert "Traceback" not in err
+
+    def test_missing_fanin_pin_is_usage_error(
+        self, tmp_path, netlist_file, capsys
+    ):
+        bad = tmp_path / "bad.rqlnet"
+        text = netlist_file.read_text()
+        bad.write_text(re.sub(r"fanin=(\d+)\.0", r"fanin=\1.7", text, count=1))
+        code, _ = run(
+            tmp_path, "sim", "--netlist", str(bad), "--exhaustive",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ".7 is driven by no gate" in err
+        assert "Traceback" not in err
+
+    def test_dangling_fanin_is_not_called_a_cycle(
+        self, tmp_path, netlist_file, capsys
+    ):
+        bad = tmp_path / "bad.rqlnet"
+        text = netlist_file.read_text()
+        bad.write_text(re.sub(r"fanin=\d+\.", "fanin=88888.", text, count=1))
+        code, _ = run(
+            tmp_path, "sim", "--netlist", str(bad), "--exhaustive",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dangling fanin 88888.0" in err
+        assert "cycle" not in err
+        code, _ = run(tmp_path, "validate", str(bad))
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "dangling fanin" in out
+        assert "cycle" not in out
 
 
 class TestMargins:

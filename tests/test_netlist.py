@@ -70,6 +70,28 @@ class TestValidate:
         nl = Netlist(gates, {}, {}, 1, 1)
         assert any("cycle" in d for d in validate(nl))
 
+    def test_dangling_fanin_is_not_a_cycle(self):
+        gates = [
+            _gate(0, GateKind.SOURCE, [], 0, "A0", ic=0.0),
+            _gate(1, GateKind.DELAY, [Pin(88888, 0)], 0, "d"),
+        ]
+        nl = Netlist(gates, {"A0": 0}, {}, 1, 1)
+        diags = validate(nl)
+        assert any("dangling fanin" in d for d in diags)
+        assert not any("cycle" in d for d in diags)
+        with pytest.raises(ValueError, match=r"gate 1 \(d\): dangling fanin 88888\.0"):
+            nl.topo_order()
+
+    def test_cycle_behind_a_dangling_fanin_is_reported(self):
+        gates = [
+            _gate(0, GateKind.DELAY, [Pin(1, 0)], 0, "d0"),
+            _gate(1, GateKind.DELAY, [Pin(0, 0)], 0, "d1"),
+            _gate(2, GateKind.DELAY, [Pin(88888, 0)], 0, "d2"),
+        ]
+        diags = validate(Netlist(gates, {}, {}, 1, 1))
+        assert any("cycle" in d for d in diags)
+        assert any("dangling fanin" in d for d in diags)
+
     def test_logic_in_idle_phase_diagnostic(self):
         gates = [
             _gate(0, GateKind.SOURCE, [], 0, "A0", ic=0.0),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rqlsim import ClockConfig, build_kogge_stone
-from rqlsim.gates import GateKind
+from rqlsim.gates import DEFAULT_GATE_TABLE, GateKind
+from rqlsim.netlist import Gate, Netlist, Pin
 from rqlsim.sim import (
     DEFAULT_OVERBIAS,
     arrival_times,
@@ -15,7 +16,7 @@ from rqlsim.sim import (
     simulate_timed,
     worst_arrival,
 )
-from rqlsim.sim.timing import check_windows
+from rqlsim.sim.timing import _path_envelope, check_windows
 
 
 class TestArrivals:
@@ -96,6 +97,75 @@ def _small_netlist():
     return _CACHED["nl"]
 
 
+def _clean(netlist, f, bias):
+    return not check_windows(netlist, ClockConfig(f, bias))[1]
+
+
+def bisection_oracle(netlist, f, ceiling):
+    """Reference lower bias: a doubling search for a clean bias when the
+    ceiling is infinite, then 100 halvings of [1e-6, clean bias]."""
+    if math.isinf(ceiling):
+        hi = 1.0
+        for _ in range(64):
+            if _clean(netlist, f, hi):
+                break
+            hi *= 2.0
+        else:
+            return math.nan
+    else:
+        if not _clean(netlist, f, ceiling):
+            return math.nan
+        hi = ceiling
+    lo = 1e-6
+    if _clean(netlist, f, lo):
+        return lo
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if _clean(netlist, f, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def grid_oracle(netlist, f, grid, ceiling):
+    """Reference lower bias: the first clean grid point at or below the
+    ceiling."""
+    for b in sorted(grid):
+        if b <= ceiling and _clean(netlist, f, b):
+            return b
+    return math.nan
+
+
+def two_path_net(ptl_um=1500.0):
+    """One AndOr fed in its own phase by a stripline path (15 ps, 3
+    junctions) and by five delay cells (10 junctions).  The stripline path
+    limits above about 8.3 GHz, the junction chain below; pairing the
+    longest stripline with the most junctions overstates every bias."""
+    spec = DEFAULT_GATE_TABLE
+    gates = [
+        Gate(0, spec[GateKind.SOURCE], (), 0, "A0"),
+        Gate(1, spec[GateKind.SOURCE], (), 0, "B0"),
+        Gate(2, spec[GateKind.PTL_DRIVER], (Pin(0, 0),), 0, "tx"),
+        Gate(3, spec[GateKind.PTL_RECEIVER], (Pin(2, 0),), 0, "rx", ptl_um=ptl_um),
+    ]
+    prev = Pin(1, 0)
+    for gid in range(4, 9):
+        gates.append(Gate(gid, spec[GateKind.DELAY], (prev,), 0, f"d{gid}"))
+        prev = Pin(gid, 0)
+    gates.append(Gate(9, spec[GateKind.ANDOR], (Pin(3, 0), prev), 0, "g"))
+    return Netlist(gates, {"A0": 0, "B0": 1}, {"S0": Pin(9, 0)}, 1, 1)
+
+
+ORACLE_NETS = {
+    "adder8": lambda: build_kogge_stone(8),
+    "chip8_ptl300": lambda: build_kogge_stone(8, chip_mode=True, ptl_length_um=300.0),
+    "chip8_ptl1000": lambda: build_kogge_stone(8, chip_mode=True, ptl_length_um=1000.0),
+    "two_path": two_path_net,
+}
+ORACLE_FREQS = [f * 1e9 for f in range(4, 17)] + [30e9, 40e9]
+
+
 class TestMargins:
     def test_lower_limit_at_ten_gigahertz(self, adder8):
         b = min_operating_bias(adder8, 10e9)
@@ -103,9 +173,44 @@ class TestMargins:
 
     def test_grid_agrees_with_bisection(self, adder8):
         grid = np.linspace(0.5, 1.63, 114)
-        b_grid = min_operating_bias(adder8, 10e9, bias_grid=grid)
+        b_grid = grid_oracle(adder8, 10e9, grid, DEFAULT_OVERBIAS)
+        b_bisect = bisection_oracle(adder8, 10e9, DEFAULT_OVERBIAS)
         b_exact = min_operating_bias(adder8, 10e9)
+        assert b_exact == b_bisect
         assert b_exact <= b_grid <= b_exact + (grid[1] - grid[0]) + 1e-12
+
+    @pytest.mark.parametrize("ceiling", [DEFAULT_OVERBIAS, math.inf], ids=["default", "inf"])
+    @pytest.mark.parametrize("net", sorted(ORACLE_NETS))
+    def test_matches_bisection_oracle(self, net, ceiling):
+        netlist = ORACLE_NETS[net]()
+        got = [min_operating_bias(netlist, f, ceiling=ceiling) for f in ORACLE_FREQS]
+        want = [bisection_oracle(netlist, f, ceiling) for f in ORACLE_FREQS]
+        np.testing.assert_array_equal(got, want)
+        assert not all(math.isnan(b) for b in got)
+
+    def test_two_path_envelope_keeps_both_paths(self):
+        netlist = two_path_net()
+        assert _path_envelope(netlist)[9] == ((15.0, 7), (0.0, 14))
+        # 4 GHz: the junction chain limits; 12 GHz: the stripline path does
+        assert min_operating_bias(netlist, 4e9) == pytest.approx(42.0 / 62.5)
+        b12 = min_operating_bias(netlist, 12e9, ceiling=math.inf)
+        assert b12 == pytest.approx(21.0 / (1e12 / 12e9 / 4 - 15.0))
+
+    def test_stripline_filling_the_window_is_inoperable(self):
+        # 1000 um = 10 ps of stripline is the whole 25 GHz window; a
+        # bisection finds a bias (~7e15) only because float rounding
+        # absorbs the junction delays there.
+        netlist = ORACLE_NETS["chip8_ptl1000"]()
+        assert math.isnan(min_operating_bias(netlist, 25e9, ceiling=math.inf))
+
+    def test_unresolvable_floor_is_an_error(self):
+        # the window exceeds the 10 ps stripline by 1e-6 ps: the floor
+        # (~9e6) lies far more float steps from the closed form than allowed
+        netlist = ORACLE_NETS["chip8_ptl1000"]()
+        f = 1e12 / 4 / (10.0 + 1e-6)
+        with pytest.raises(ValueError, match="not resolved"):
+            min_operating_bias(netlist, f, ceiling=math.inf)
+        assert math.isnan(min_operating_bias(netlist, f))
 
     def test_lower_limit_scales_linearly_with_frequency(self, adder8):
         b5 = min_operating_bias(adder8, 5e9)
