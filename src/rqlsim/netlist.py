@@ -326,6 +326,16 @@ def validate(netlist: Netlist, max_fanout: int = 4) -> list[str]:
     return diags
 
 
+def missing_ports(netlist: Netlist) -> list[str]:
+    """Adder ports absent from the I/O header: inputs ``A0..``, ``B0..`` and
+    outputs ``S0..`` (``Cout`` is optional)."""
+    bits = range(netlist.width)
+    inputs = [f"{w}{i}" for w in "AB" for i in bits]
+    return [p for p in inputs if p not in netlist.inputs] + [
+        f"S{i}" for i in bits if f"S{i}" not in netlist.outputs
+    ]
+
+
 @dataclass
 class NetlistStats:
     jj_total: int

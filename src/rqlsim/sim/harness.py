@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 LFSR16_TAPS = 0xB400  # x^16 + x^14 + x^13 + x^11 + 1, maximal length
 DEFAULT_SEED = 0xACE1
 
@@ -81,22 +83,26 @@ class InputProgram:
         return cls(tuple(int(c) for c in text))
 
 
-def shift_register_pairs(serial_bits, width: int = 8) -> list[tuple[int, int]]:
-    """Addend pairs generated by shifting a serial stream through a
-    2*width-stage register, one bit per cycle.
+def shift_register_pairs(
+    serial_bits, width: int = 8
+) -> tuple[np.ndarray, np.ndarray]:
+    """Operands generated by shifting a serial stream through a
+    2*width-stage register, one bit per cycle, as two uint64 arrays
+    ``(a, b)`` with one entry per cycle.
 
     The register starts cleared.  After each shift, window[k] is the bit
     received k cycles ago; A_i = window[i] and B_i = window[2*width-1-i].
     """
-    bits = list(serial_bits)
+    bits = np.asarray(serial_bits, dtype=np.uint64) & np.uint64(1)
     stages = 2 * width
     if len(bits) < stages:
         raise ValueError(f"serial stream must hold at least {stages} bits")
-    window = [0] * stages
-    pairs = []
-    for bit in bits:
-        window = [bit & 1] + window[:-1]
-        a = sum(window[i] << i for i in range(width))
-        b = sum(window[stages - 1 - i] << i for i in range(width))
-        pairs.append((a, b))
-    return pairs
+    # window[k] at cycle t is padded[t + stages - 1 - k].
+    n = len(bits)
+    padded = np.concatenate([np.zeros(stages - 1, dtype=np.uint64), bits])
+    a = np.zeros(n, dtype=np.uint64)
+    b = np.zeros(n, dtype=np.uint64)
+    for i in range(width):
+        a |= padded[stages - 1 - i : stages - 1 - i + n] << np.uint64(i)
+        b |= padded[i : i + n] << np.uint64(i)
+    return a, b

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..netlist import Netlist
+from ..netlist import Netlist, missing_ports
 from . import engine
 from .encode import encode
 
@@ -36,8 +36,7 @@ class SimTrace:
     couts: np.ndarray | None
     gate_events: np.ndarray  # per gate, summed over all vectors
     gate_ids: np.ndarray
-    wave_events: np.ndarray | None  # per vector, summed over gates
-    event_matrix: np.ndarray | None = None  # (gate, vector) counts, opt-in
+    wave_events: np.ndarray  # per vector, summed over gates
     arrivals_ps: dict[int, float] | None = None
     violations: list = field(default_factory=list)
 
@@ -66,52 +65,43 @@ class SimTrace:
                 a = f"{int(self.a[t]):x}" if t < self.n_vectors else ""
                 b = f"{int(self.b[t]):x}" if t < self.n_vectors else ""
                 s, cout = self.output_at_cycle(t)
-                ev = ""
-                if self.wave_events is not None and t < self.n_vectors:
-                    ev = str(int(self.wave_events[t]))
+                ev = str(int(self.wave_events[t])) if t < self.n_vectors else ""
                 row = f"{t},{a},{b},{s:x}"
                 if self.couts is not None:
                     row += f",{cout}"
                 fh.write(row + f",{ev}\n")
 
 
-def _popcount_rows(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values).sum(axis=1, dtype=np.int64)
+# Words of slot values unpacked to bytes at a time for per-wave events.
+_UNPACK_WORDS = 64
 
 
-def simulate_logic(
-    netlist: Netlist,
-    vectors,
-    *,
-    want_wave_events: bool = True,
-    want_event_matrix: bool = False,
-) -> SimTrace:
-    """Run input vectors (pairs of addends) through the netlist.
+def simulate_logic(netlist: Netlist, vectors) -> SimTrace:
+    """Run operand vectors through the netlist.
 
-    ``vectors`` is a sequence of (A, B) integer pairs or two parallel
-    arrays.  Raises on operands wider than the netlist.
-    ``want_event_matrix`` additionally stores per-gate per-cycle switching
-    counts (gates x vectors; mind the memory on large runs).
+    ``vectors`` is ``(a, b)``: two equal-length 1-D arrays of unsigned
+    operands, entry ``k`` of each forming vector ``k``; anything
+    ``np.asarray`` turns into uint64 arrays will do.  Raises ``ValueError``
+    on operands wider than the netlist and on a missing ``A``/``B`` input
+    or ``S`` output port.
     """
-    if isinstance(vectors, tuple) and len(vectors) == 2:
-        a_vals = np.asarray(vectors[0], dtype=np.uint64)
-        b_vals = np.asarray(vectors[1], dtype=np.uint64)
-    else:
-        pairs = list(vectors)
-        a_vals = np.asarray([p[0] for p in pairs], dtype=np.uint64)
-        b_vals = np.asarray([p[1] for p in pairs], dtype=np.uint64)
-    if a_vals.shape != b_vals.shape:
-        raise ValueError("A and B stimulus lengths differ")
+    a_vals, b_vals = (np.asarray(v, dtype=np.uint64) for v in vectors)
+    if a_vals.ndim != 1 or a_vals.shape != b_vals.shape:
+        raise ValueError("A and B stimuli must be 1-D arrays of equal length")
     n = len(a_vals)
     limit = 1 << netlist.width
     if n and (int(a_vals.max()) >= limit or int(b_vals.max()) >= limit):
         raise ValueError(f"operand exceeds {netlist.width}-bit width")
+    missing = missing_ports(netlist)
+    if missing:
+        raise ValueError(f"netlist lacks adder port(s) {', '.join(missing)}")
 
     program = encode(netlist)
     input_bits = {}
     for i in range(netlist.width):
-        input_bits[f"A{i}"] = (a_vals >> np.uint64(i)) & np.uint64(1)
-        input_bits[f"B{i}"] = (b_vals >> np.uint64(i)) & np.uint64(1)
+        shift = np.uint64(i)
+        input_bits[f"A{i}"] = ((a_vals >> shift) & np.uint64(1)).astype(np.uint8)
+        input_bits[f"B{i}"] = ((b_vals >> shift) & np.uint64(1)).astype(np.uint8)
     values = engine.run_program(program, input_bits, n)
 
     sums = np.zeros(n, dtype=np.uint64)
@@ -122,35 +112,20 @@ def simulate_logic(
     if "Cout" in program.output_slots:
         couts = engine.unpack_bits(values[program.output_slots["Cout"]], n)
 
-    slot_pops = _popcount_rows(values)
+    # Each gate owns the contiguous slots from its first to the next gate's.
+    slot_pops = np.bitwise_count(values).sum(axis=1, dtype=np.int64)
     gate_ids = np.asarray([gid for gid, _, _ in program.gate_slots])
-    gate_events = np.zeros(len(program.gate_slots), dtype=np.int64)
-    for k, (_, first, n_out) in enumerate(program.gate_slots):
-        gate_events[k] = slot_pops[first : first + n_out].sum()
+    gate_events = np.add.reduceat(
+        slot_pops, [first for _, first, _ in program.gate_slots]
+    )
 
-    wave_events = None
-    event_matrix = None
-    if want_event_matrix and n:
-        event_matrix = np.zeros((len(program.gate_slots), n), dtype=np.uint8)
-    if (want_wave_events or want_event_matrix) and n:
-        wave_events = np.zeros(n, dtype=np.int64)
-        # Unpack in word blocks to bound memory on large runs.
-        block = 4096
-        for w0 in range(0, values.shape[1], block):
-            chunk = values[:, w0 : w0 + block]
-            bits = np.unpackbits(
-                chunk.view(np.uint8), axis=1, bitorder="little"
-            )
-            lo = w0 * 64
-            hi = min(lo + bits.shape[1], n)
-            wave_events[lo:hi] += bits[:, : hi - lo].sum(axis=0, dtype=np.int64)
-            if event_matrix is not None:
-                for k, (_, first, n_out) in enumerate(program.gate_slots):
-                    event_matrix[k, lo:hi] = bits[
-                        first : first + n_out, : hi - lo
-                    ].sum(axis=0, dtype=np.uint8)
-    if not want_wave_events:
-        wave_events = None
+    wave_events = np.zeros(n, dtype=np.int64)
+    for w0 in range(0, values.shape[1], _UNPACK_WORDS):
+        chunk = values[:, w0 : w0 + _UNPACK_WORDS]
+        bits = np.unpackbits(chunk.view(np.uint8), axis=1, bitorder="little")
+        lo = w0 * 64
+        hi = min(lo + bits.shape[1], n)
+        wave_events[lo:hi] = bits[:, : hi - lo].sum(axis=0, dtype=np.int64)
 
     offset = math.ceil(netlist.total_phases / 4)
     return SimTrace(
@@ -164,7 +139,6 @@ def simulate_logic(
         gate_events=gate_events,
         gate_ids=gate_ids,
         wave_events=wave_events,
-        event_matrix=event_matrix,
     )
 
 

@@ -95,9 +95,10 @@ def worst_arrival(netlist: Netlist, clock: ClockConfig) -> float:
     )
 
 
-def simulate_timed(netlist: Netlist, clock: ClockConfig, vectors, **kw):
-    """Logical simulation plus arrival offsets and window violations."""
-    trace = simulate_logic(netlist, vectors, **kw)
+def simulate_timed(netlist: Netlist, clock: ClockConfig, vectors):
+    """``simulate_logic`` of operand arrays ``vectors = (a, b)``, plus
+    arrival offsets and window violations."""
+    trace = simulate_logic(netlist, vectors)
     arr, violations = check_windows(netlist, clock)
     trace.arrivals_ps = arr
     trace.violations = violations
@@ -138,6 +139,11 @@ class MarginCurve:
 
 def _power_db(bias_rel: float) -> float:
     return 20.0 * math.log10(bias_rel)
+
+
+def _check_ceiling(ceiling: float) -> None:
+    if not ceiling > 0:  # also rejects NaN; inf is a valid ceiling
+        raise ValueError(f"over-bias ceiling must be > 0, got {ceiling}")
 
 
 def _pareto(pairs) -> tuple[tuple[float, int], ...]:
@@ -212,6 +218,7 @@ def min_operating_bias(
     NaN if none lies at or below the ceiling or stripline delay alone fills
     a window.  The returned bias is verified clean by ``check_windows`` and
     the float just below it verified to violate."""
+    _check_ceiling(ceiling)
     envelope = _window_envelope(netlist)
     return _min_bias(netlist, envelope, frequency_hz, ceiling, receiver_window_frac)
 
@@ -232,6 +239,7 @@ def margin_sweep(
     freqs = list(frequencies)
     if not freqs:
         raise ValueError("empty frequency range")
+    _check_ceiling(ceiling)
     upper = _power_db(ceiling)
     envelope = _window_envelope(netlist)
     points = []

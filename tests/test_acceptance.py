@@ -39,7 +39,7 @@ def test_criterion_01_functional_correctness(adder8):
     n = 256
     a = np.repeat(np.arange(n, dtype=np.uint64), n)
     b = np.tile(np.arange(n, dtype=np.uint64), n)
-    trace = simulate_logic(adder8, (a, b), want_wave_events=False)
+    trace = simulate_logic(adder8, (a, b))
     assert np.array_equal(trace.sums, (a + b) & np.uint64(0xFF))
     assert np.array_equal(
         trace.couts.astype(np.uint64), ((a + b) >> np.uint64(8)) & np.uint64(1)
@@ -56,7 +56,7 @@ def test_criterion_01_functional_correctness(adder8):
             av = rng.integers(0, 1 << width, 120_000, dtype=np.uint64)
             bv = rng.integers(0, 1 << width, 120_000, dtype=np.uint64)
             want_s = (av + bv) & np.uint64((1 << width) - 1)
-        tr = simulate_logic(nl, (av, bv), want_wave_events=False)
+        tr = simulate_logic(nl, (av, bv))
         assert np.array_equal(tr.sums, want_s)
         if width < 64:
             want_c = ((av + bv) >> np.uint64(width)) & np.uint64(1)
@@ -220,17 +220,17 @@ def test_criterion_12_structural_properties(adder8):
     rng = np.random.default_rng(12)
     a = rng.integers(0, 256, 4096, dtype=np.uint64)
     b = rng.integers(0, 256, 4096, dtype=np.uint64)
-    reference = simulate_logic(adder8, (a, b), want_wave_events=False)
+    reference = simulate_logic(adder8, (a, b))
 
     relegalized = legalize_fanout(adder8, 2)
     assert validate(relegalized, max_fanout=2) == []
-    t2 = simulate_logic(relegalized, (a, b), want_wave_events=False)
+    t2 = simulate_logic(relegalized, (a, b))
     assert np.array_equal(reference.sums, t2.sums)
 
     from rqlsim import assign_phases
 
     relaid = assign_phases(adder8, StageLayout(8, idle_phases=0))
-    t3 = simulate_logic(relaid, (a, b), want_wave_events=False)
+    t3 = simulate_logic(relaid, (a, b))
     assert np.array_equal(reference.sums, t3.sums)
     _report(
         12,

@@ -31,7 +31,7 @@ def random_pairs(width, n, seed):
 
 
 def assert_adds(netlist, a_vals, b_vals):
-    trace = simulate_logic(netlist, (a_vals, b_vals), want_wave_events=False)
+    trace = simulate_logic(netlist, (a_vals, b_vals))
     mask = (1 << netlist.width) - 1
     expect_s = (a_vals.astype(object) + b_vals.astype(object)) & mask
     got = [int(s) for s in trace.sums]

@@ -172,6 +172,90 @@ class TestSim:
         assert f"{vf}, line 2:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("width", [4, 64])
+    def test_check_counts_sum_and_carry_mismatches(self, tmp_path, width):
+        # With the S0 and Cout pins swapped, a vector whose sum bit 0
+        # differs from its carry fails twice: once per output.
+        code, gen = run(tmp_path, "gen", "--width", str(width))
+        assert code == 0
+        text = (gen / f"adder{width}.rqlnet").read_text()
+        s0 = re.search(r" S0:(\S+)", text).group(1)
+        cout = re.search(r" Cout:(\S+)", text).group(1)
+        swapped = text.replace(f" S0:{s0}", f" S0:{cout}", 1)
+        swapped = swapped.replace(f" Cout:{cout}", f" Cout:{s0}", 1)
+        bad = tmp_path / "swapped.rqlnet"
+        bad.write_text(swapped)
+        code, out = run(
+            tmp_path, "sim", "--netlist", str(bad),
+            "--prbs", "0xACE1", "--cycles", "300", "--check",
+        )
+        assert code == 1
+        rows = (out / "trace.csv").read_text().splitlines()[1:301]
+        totals = [
+            int(a, 16) + int(b, 16) for a, b in (r.split(",")[1:3] for r in rows)
+        ]
+        want = 2 * sum((t & 1) != (t >> width) for t in totals)
+        assert want > 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["check_failures"] == want
+
+    @pytest.mark.parametrize("line", ["1ffffffffffffffffff 0", "3 10"])
+    def test_operand_wider_than_netlist_names_file_and_line(
+        self, tmp_path, netlist_file, capsys, line
+    ):
+        vf = tmp_path / "vecs.txt"
+        vf.write_text(f"# 4-bit operands\n1 2\n{line}\n")
+        code, _ = run(
+            tmp_path, "sim", "--netlist", str(netlist_file),
+            "--vectors", str(vf), "--check",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{vf}, line 3:" in err and "4-bit" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cycles", ["0", "-5"])
+    def test_non_positive_cycles_is_usage_error(
+        self, tmp_path, netlist_file, capsys, cycles
+    ):
+        code, _ = run(
+            tmp_path, "sim", "--netlist", str(netlist_file),
+            "--prbs", "0xACE1", "--cycles", cycles,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--cycles must be positive, got {cycles}" in err
+        assert "Traceback" not in err
+
+    def test_omitted_cycles_stays_null_in_manifest(self, tmp_path, netlist_file):
+        code, out = run(
+            tmp_path, "sim", "--netlist", str(netlist_file), "--prbs", "0xACE1",
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["arguments"]["cycles"] is None
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["vectors"] == 64
+
+    @pytest.mark.parametrize("header, port", [("outputs", "S3"), ("inputs", "A2")])
+    def test_missing_port_is_reported(
+        self, tmp_path, netlist_file, capsys, header, port
+    ):
+        bad = tmp_path / "bad.rqlnet"
+        text = netlist_file.read_text()
+        bad.write_text(
+            re.sub(rf"^({header} .*?) {port}:\S+", r"\1", text, count=1, flags=re.M)
+        )
+        code, _ = run(
+            tmp_path, "sim", "--netlist", str(bad), "--exhaustive", "--check",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert port in err and "Traceback" not in err
+        code, _ = run(tmp_path, "validate", str(bad))
+        assert code == 1
+        assert f"port {port}: missing" in capsys.readouterr().out
+
     def test_dangling_output_pin_is_usage_error(
         self, tmp_path, netlist_file, capsys
     ):
@@ -233,6 +317,21 @@ class TestMargins:
         assert len(uppers) == 1  # ceiling independent of frequency
         widths = [float(ln.split(",")[3]) for ln in lines[1:]]
         assert all(a >= b - 1e-9 for a, b in zip(widths, widths[1:]))
+
+
+    @pytest.mark.parametrize("ceiling", ["0", "-1", "nan"])
+    def test_bad_ceiling_is_usage_error(
+        self, tmp_path, netlist_file, capsys, ceiling
+    ):
+        code, out = run(
+            tmp_path, "margins", "--netlist", str(netlist_file),
+            f"--ceiling={ceiling}",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ceiling must be > 0" in err
+        assert "Traceback" not in err
+        assert not (out / "margins.csv").exists()
 
 
 class TestPowerCmd:

@@ -1,7 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rqlsim.sim import InputProgram, Lfsr16, prbs_stream, shift_register_pairs
+
+
+def as_pairs(operands):
+    """(a, b) operand arrays -> list of (A, B) integer pairs."""
+    a, b = operands
+    return list(zip(a.tolist(), b.tolist()))
 
 
 def window_oracle(serial_bits, width=8):
@@ -23,12 +30,12 @@ def window_oracle(serial_bits, width=8):
 
 class TestShiftRegister:
     def test_all_zero_stream(self):
-        pairs = shift_register_pairs([0] * 16)
+        pairs = as_pairs(shift_register_pairs([0] * 16))
         assert pairs == [(0, 0)] * 16
 
     def test_single_one_visits_every_tap(self):
         bits = [1] + [0] * 15
-        pairs = shift_register_pairs(bits)
+        pairs = as_pairs(shift_register_pairs(bits))
         seen_a, seen_b = set(), set()
         for a, b in pairs:
             assert bin(a).count("1") + bin(b).count("1") == 1
@@ -41,14 +48,20 @@ class TestShiftRegister:
 
     def test_matches_window_oracle(self):
         bits = prbs_stream(16)
-        pairs = shift_register_pairs(bits)
+        pairs = as_pairs(shift_register_pairs(bits))
         assert pairs == window_oracle(bits)
         assert len(set(pairs)) == 16  # distinct cyclic permutations
 
     def test_periodic_stream_repeats(self):
         bits = prbs_stream(16) * 3
-        pairs = shift_register_pairs(bits)
+        pairs = as_pairs(shift_register_pairs(bits))
         assert pairs[16:32] == pairs[32:48]
+
+    def test_wide_register_matches_oracle(self):
+        bits = prbs_stream(200)
+        a, b = shift_register_pairs(bits, width=64)
+        assert a.dtype == b.dtype == np.uint64
+        assert as_pairs((a, b)) == window_oracle(bits, width=64)
 
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError, match="16 bits"):
@@ -56,7 +69,7 @@ class TestShiftRegister:
 
     @given(st.lists(st.integers(0, 1), min_size=16, max_size=80))
     def test_oracle_agreement_property(self, bits):
-        assert shift_register_pairs(bits) == window_oracle(bits)
+        assert as_pairs(shift_register_pairs(bits)) == window_oracle(bits)
 
 
 class TestLfsr:

@@ -68,13 +68,13 @@ def _fully_active_trace(netlist, cycles=10):
         couts=None,
         gate_events=np.asarray(events),
         gate_ids=np.asarray(ids),
-        wave_events=None,
+        wave_events=np.full(cycles, sum(events) // cycles),
     )
 
 
 class TestActivityPower:
     def test_all_zeros_dissipates_nothing(self, adder8):
-        trace = simulate_logic(adder8, [(0, 0)] * 8)
+        trace = simulate_logic(adder8, ([0] * 8, [0] * 8))
         assert activity_power(trace, adder8, 6.21e9) == 0.0
 
     def test_fully_active_equals_dynamic(self, adder8):
@@ -87,8 +87,8 @@ class TestActivityPower:
 
     def test_never_exceeds_dynamic(self, adder8):
         rng = np.random.default_rng(13)
-        pairs = [(int(a), int(b)) for a, b in rng.integers(0, 256, (200, 2))]
-        trace = simulate_logic(adder8, pairs)
+        pairs = rng.integers(0, 256, (200, 2))
+        trace = simulate_logic(adder8, (pairs[:, 0], pairs[:, 1]))
         st_ = netlist_stats(adder8)
         ceiling = dynamic_power(st_.ic_avg_ua * 1e-6, st_.jj_total, 6.21e9)
         assert 0.0 < activity_power(trace, adder8, 6.21e9) < ceiling
@@ -97,11 +97,11 @@ class TestActivityPower:
         # recount events per wave with the independent DAG walk and apply
         # the per-event energy by hand
         prog = InputProgram.chopped(3, 24, 24)
-        pairs = shift_register_pairs(prog.serial_bits)
-        trace = simulate_logic(adder8, pairs)
+        a_vals, b_vals = shift_register_pairs(prog.serial_bits)
+        trace = simulate_logic(adder8, (a_vals, b_vals))
         f = 6.2e9
         energy = 0.0
-        for a, b in pairs:
+        for a, b in zip(a_vals.tolist(), b_vals.tolist()):
             _, _, events = dag_eval(adder8, a, b)
             for gid, n_asserted in events.items():
                 g = adder8.gate(gid)
@@ -112,7 +112,7 @@ class TestActivityPower:
                     * g.spec.jj_count / N_OUTPUTS[g.kind]
                 )
                 energy += n_asserted * e_per_output
-        want = energy * f / len(pairs)
+        want = energy * f / len(a_vals)
         assert activity_power(trace, adder8, f) == pytest.approx(want, rel=1e-12)
 
     def test_half_duty_chop_halves_power(self, adder8):
@@ -133,7 +133,7 @@ class TestActivityPower:
         assert p_chop == pytest.approx(0.5 * p_active, rel=0.05)
 
     def test_empty_trace(self, adder8):
-        trace = simulate_logic(adder8, [])
+        trace = simulate_logic(adder8, ([], []))
         assert activity_power(trace, adder8, 1e9) == 0.0
 
 

@@ -74,7 +74,7 @@ class TestArrivals:
             arrival_times(broken, ClockConfig(10e9))
 
     def test_simulate_timed_attaches_results(self, adder8):
-        trace = simulate_timed(adder8, ClockConfig(10e9), [(1, 2), (3, 4)])
+        trace = simulate_timed(adder8, ClockConfig(10e9), ([1, 3], [2, 4]))
         assert trace.arrivals_ps is not None
         assert trace.violations == []
         assert int(trace.sums[0]) == 3
