@@ -395,7 +395,8 @@ def legalize_fanout(netlist: Netlist, max_fanout: int = 4) -> Netlist:
 def assign_phases(netlist: Netlist, layout: StageLayout) -> Netlist:
     """Re-map a netlist onto a new phase layout.
 
-    Padding cells from the previous layout are stripped, logic gates move to
+    Padding cells from the previous layout (every Delay, PtlDriver and
+    PtlReceiver, each a logical identity) are stripped, logic gates move to
     the phase their stage gets under ``layout``, and the delay ladders are
     rebuilt (stripline annotations are not preserved across a re-layout).
     """
@@ -408,7 +409,8 @@ def assign_phases(netlist: Netlist, layout: StageLayout) -> Netlist:
     def stage_of(phase: int) -> int:
         return phase - sum(1 for p in old_idles if p <= phase)
 
-    pads = {g.gid for g in netlist.gates if g.name.startswith("pad_")}
+    interconnect = (GateKind.DELAY, GateKind.PTL_DRIVER, GateKind.PTL_RECEIVER)
+    pads = {g.gid for g in netlist.gates if g.kind in interconnect}
     sinks = {g.gid for g in netlist.gates if g.kind is GateKind.SINK}
 
     def resolve(pin: Pin) -> Pin:

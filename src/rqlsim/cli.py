@@ -132,6 +132,8 @@ def cmd_validate(args) -> int:
 
 def _sim_vectors(args, netlist) -> tuple[np.ndarray, np.ndarray]:
     """The stimulus as operand arrays ``(a, b)``, one entry per cycle."""
+    if args.cycles is not None and args.prbs is None:
+        raise ValueError("--cycles applies only to --prbs")
     if args.cycles is not None and args.cycles <= 0:
         raise ValueError(f"--cycles must be positive, got {args.cycles}")
     if args.exhaustive:

@@ -9,6 +9,7 @@ is driven by the sequential-junction delay model in ``junction_delay``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -152,10 +153,14 @@ class ClockConfig:
     receiver_window_frac: float = 0.0
 
     def __post_init__(self):
-        if self.frequency_hz <= 0:
-            raise ValueError("clock frequency must be positive")
-        if self.bias_rel <= 0:
-            raise ValueError("clock bias must be positive")
+        if not (self.frequency_hz > 0 and math.isfinite(self.frequency_hz)):
+            raise ValueError(
+                f"clock frequency must be positive and finite, got {self.frequency_hz}"
+            )
+        if not (self.bias_rel > 0 and math.isfinite(self.bias_rel)):
+            raise ValueError(
+                f"clock bias must be positive and finite, got {self.bias_rel}"
+            )
         if not 0.0 <= self.receiver_window_frac <= 0.25:
             raise ValueError("receiver_window_frac outside [0, 0.25]")
 

@@ -8,6 +8,8 @@ versioned and round-trips losslessly.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -20,6 +22,21 @@ from .gates import (
 )
 
 NETLIST_FORMAT = "rqlnet 1"
+
+
+def per_netlist(fn):
+    """Memoize ``fn(netlist)`` for as long as the netlist lives.  Netlists
+    are immutable by convention; ``replace_gates`` returns a new one.  Every
+    caller gets the same result object and must not mutate it."""
+    memo = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def cached(netlist):
+        if netlist not in memo:
+            memo[netlist] = fn(netlist)
+        return memo[netlist]
+
+    return cached
 
 
 class Pin(NamedTuple):
@@ -45,6 +62,16 @@ class Gate:
     def slot(self) -> PhaseSlot:
         return PhaseSlot(self.phase)
 
+    def arity_error(self) -> str | None:
+        """The diagnostic for a fanin count that does not fit the kind."""
+        n_in = N_INPUTS[self.kind]
+        if len(self.fanin) == n_in:
+            return None
+        return (
+            f"gate {self.gid} ({self.name}): {self.kind.value} arity "
+            f"{len(self.fanin)} != {n_in}"
+        )
+
 
 class Netlist:
     """Immutable-by-convention container of gates plus named I/O."""
@@ -69,7 +96,6 @@ class Netlist:
         self._by_gid = {g.gid: g for g in self.gates}
         if len(self._by_gid) != len(self.gates):
             raise ValueError("duplicate gate ids")
-        self._topo: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -85,11 +111,10 @@ class Netlist:
                 fo.setdefault(pin, []).append((g.gid, i))
         return fo
 
+    @per_netlist
     def topo_order(self) -> list[int]:
         """Gate ids in topological order; raises on a dangling fanin or a
         cycle."""
-        if self._topo is not None:
-            return self._topo
         for g in self.gates:
             for pin in g.fanin:
                 if pin.gid not in self._by_gid:
@@ -100,7 +125,6 @@ class Netlist:
         order = self._kahn_order()
         if len(order) != len(self.gates):
             raise ValueError("netlist contains a cycle")
-        self._topo = order
         return order
 
     def _kahn_order(self) -> list[int]:
@@ -280,12 +304,8 @@ def validate(netlist: Netlist, max_fanout: int = 4) -> list[str]:
         diags.append("netlist contains a cycle")
 
     for g in netlist.gates:
-        n_in = N_INPUTS[g.kind]
-        if len(g.fanin) != n_in:
-            diags.append(
-                f"gate {g.gid} ({g.name}): {g.kind.value} arity "
-                f"{len(g.fanin)} != {n_in}"
-            )
+        if arity := g.arity_error():
+            diags.append(arity)
         if not 0 <= g.phase < netlist.total_phases:
             diags.append(f"gate {g.gid} ({g.name}): phase {g.phase} out of range")
         if g.phase in netlist.idle_phases and g.kind in (

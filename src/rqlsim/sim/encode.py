@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gates import N_OUTPUTS, GateKind
-from ..netlist import Netlist, Pin
+from ..gates import N_INPUTS, N_OUTPUTS, GateKind
+from ..netlist import Netlist, Pin, per_netlist
 
 OP_INPUT = 0
 OP_OR = 1
@@ -33,6 +33,7 @@ class Program:
     gate_slots: list[tuple[int, int, int]]  # (gid, first slot, n_pins)
 
 
+@per_netlist
 def encode(netlist: Netlist) -> Program:
     order = netlist.topo_order()
     pin_slot: dict[Pin, int] = {}
@@ -49,6 +50,8 @@ def encode(netlist: Netlist) -> Program:
         kind = g.kind
         n_out = N_OUTPUTS[kind]
         first = len(ops)
+        if len(g.fanin) != N_INPUTS[kind]:
+            raise ValueError(g.arity_error())
         try:
             srcs = [pin_slot[p] for p in g.fanin]
         except KeyError as exc:

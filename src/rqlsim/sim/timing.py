@@ -5,20 +5,22 @@ sequential junction along its in-phase path, plus stripline propagation at
 100 um/ps where a passive interconnect is annotated.  A gate whose output
 settles after the acceptance window of its phase misses the clock peak and
 is flagged.  At relative bias ``b`` a gate's arrival is the largest
-``L + S * d0 / b`` over its in-phase paths (``L`` stripline ps, ``S``
-sequential junctions), so the lower clock-power margin, the smallest bias
-that clears every window ``W``, is ``max S * d0 / (W - L)`` snapped to the
-float grid of ``check_windows``.  The upper margin is the over-bias ceiling,
-a calibrated constant.
+``L + S * d0 / b`` over its Pareto envelope of in-phase paths (``L``
+stripline ps, ``S`` sequential junctions), built once per netlist.  The
+lower clock-power margin, the smallest float bias that clears every window,
+is an exact bisection of the bias's bit pattern on that same arithmetic.
+The upper margin is the over-bias ceiling, a calibrated constant.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
 
 from ..gates import ClockConfig, GateKind, junction_delay
-from ..netlist import Gate, Netlist
+from ..netlist import Netlist, per_netlist
 from .logic import simulate_logic
 
 PTL_SPEED_UM_PER_PS = 100.0
@@ -27,10 +29,8 @@ PTL_SPEED_UM_PER_PS = 100.0
 # shows a 4.6 dB clock-power margin at 10 GHz; see calibrate_overbias.
 DEFAULT_OVERBIAS = 1.63
 
-# Smallest relative bias a margin is resolved to, and the most float steps
-# the closed-form bias may take to reach the exact clean boundary.
+# Smallest relative bias a margin is resolved to.
 _BIAS_FLOOR = 1e-6
-_MAX_SNAP_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -46,32 +46,13 @@ class TimingViolation:
         return self.window_ps - self.arrival_ps
 
 
-def _ptl_delay_ps(g: Gate) -> float:
-    """Stripline delay ahead of a gate; nonzero only for a PTL receiver."""
-    if g.kind is not GateKind.PTL_RECEIVER:
-        return 0.0
-    if g.ptl_um is None:
-        raise ValueError(
-            f"gate {g.gid} ({g.name}): PTL receiver lacks a length annotation"
-        )
-    return g.ptl_um / PTL_SPEED_UM_PER_PS
-
-
 def arrival_times(netlist: Netlist, clock: ClockConfig) -> dict[int, float]:
     """Static arrival offset (ps) of every gate output within its phase."""
-    arr: dict[int, float] = {}
     d = junction_delay(clock.bias_rel)
-    for gid in netlist.topo_order():
-        g = netlist.gate(gid)
-        t = 0.0
-        for pin in g.fanin:
-            drv = netlist.gate(pin.gid)
-            if drv.phase == g.phase:
-                t = max(t, arr[pin.gid])
-        if g.kind is GateKind.PTL_RECEIVER:
-            t += _ptl_delay_ps(g)
-        arr[gid] = t + g.spec.seq_depth * d
-    return arr
+    return {
+        gid: max(l + s * d for l, s in front)
+        for gid, front in _path_envelope(netlist).items()
+    }
 
 
 def check_windows(
@@ -155,10 +136,10 @@ def _pareto(pairs) -> tuple[tuple[float, int], ...]:
     return tuple(front)
 
 
+@per_netlist
 def _path_envelope(netlist: Netlist) -> dict[int, tuple[tuple[float, int], ...]]:
     """Pareto-maximal ``(L, S)`` pairs over each gate's in-phase paths:
-    ``L`` stripline ps, ``S`` sequential junctions, so that ``arrival_times``
-    at bias ``b`` is the largest ``L + S * d0 / b`` over a gate's pairs."""
+    ``L`` stripline ps, ``S`` sequential junctions."""
     env = {}
     for gid in netlist.topo_order():
         g = netlist.gate(gid)
@@ -166,8 +147,14 @@ def _path_envelope(netlist: Netlist) -> dict[int, tuple[tuple[float, int], ...]]
         for pin in g.fanin:
             if netlist.gate(pin.gid).phase == g.phase:
                 paths += env[pin.gid]
-        ptl, seq = _ptl_delay_ps(g), g.spec.seq_depth
-        env[gid] = _pareto((l + ptl, s + seq) for l, s in paths)
+        ptl = 0.0
+        if g.kind is GateKind.PTL_RECEIVER:
+            if g.ptl_um is None:
+                raise ValueError(
+                    f"gate {gid} ({g.name}): PTL receiver lacks a length annotation"
+                )
+            ptl = g.ptl_um / PTL_SPEED_UM_PER_PS
+        env[gid] = _pareto((l + ptl, s + g.spec.seq_depth) for l, s in paths)
     return env
 
 
@@ -177,34 +164,28 @@ def _window_envelope(netlist: Netlist) -> tuple[tuple[float, int], ...]:
     return _pareto(p for g in netlist.gates if g.spec.jj_count for p in env[g.gid])
 
 
-def _min_bias(netlist, envelope, frequency_hz, ceiling, window_frac) -> float:
-    def violated(bias: float) -> bool:
-        clock = ClockConfig(frequency_hz, bias, window_frac)
-        return bool(check_windows(netlist, clock)[1])
-
+def _min_bias(envelope, frequency_hz, ceiling, window_frac) -> float:
     window = ClockConfig(frequency_hz, 1.0, window_frac).window_ps
-    if any(l > window or (l == window and s) for l, s in envelope):
+
+    def clean(bias: float) -> bool:
+        d = junction_delay(bias)
+        return all(l + s * d <= window for l, s in envelope)
+
+    hi = min(ceiling, sys.float_info.max)
+    if any(l > window or (l == window and s) for l, s in envelope) or not clean(hi):
         return math.nan
-    d0 = junction_delay(1.0)
-    b = max([_BIAS_FLOOR] + [s * d0 / (window - l) for l, s in envelope if s])
-    if b > ceiling:
-        if violated(ceiling):
-            return math.nan
-        b = ceiling
-    # Rounded arrivals move the boundary a few ulps (about W / (W - L)):
-    # step to the smallest clean float.
-    for _ in range(_MAX_SNAP_STEPS):
-        if violated(b):
-            b = math.nextafter(b, math.inf)
-            continue
-        below = math.nextafter(b, 0.0)
-        if below < _BIAS_FLOOR or violated(below):
-            return b if b <= ceiling else math.nan
-        b = below
-    raise ValueError(
-        f"bias floor at {frequency_hz:g} Hz not resolved within "
-        f"{_MAX_SNAP_STEPS} float steps of {b:g}: W - L nearly cancels"
-    )
+    if clean(_BIAS_FLOOR):
+        return min(_BIAS_FLOOR, hi)
+    # Positive floats sort like their bit patterns: bisect the integers.
+    lo, hi = struct.unpack("<2q", struct.pack("<2d", _BIAS_FLOOR, hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if clean(_from_bits(mid)) else (mid, hi)
+    return _from_bits(hi)
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def min_operating_bias(
@@ -214,13 +195,12 @@ def min_operating_bias(
     ceiling: float = DEFAULT_OVERBIAS,
     receiver_window_frac: float = 0.0,
 ) -> float:
-    """Smallest relative bias (floor 1e-6) with zero timing violations, or
-    NaN if none lies at or below the ceiling or stripline delay alone fills
-    a window.  The returned bias is verified clean by ``check_windows`` and
-    the float just below it verified to violate."""
+    """Smallest float relative bias (floor 1e-6) at which ``check_windows``
+    finds no violation, or NaN if none lies at or below the ceiling or
+    stripline delay alone fills a window."""
     _check_ceiling(ceiling)
     envelope = _window_envelope(netlist)
-    return _min_bias(netlist, envelope, frequency_hz, ceiling, receiver_window_frac)
+    return _min_bias(envelope, frequency_hz, ceiling, receiver_window_frac)
 
 
 def margin_sweep(
@@ -244,7 +224,7 @@ def margin_sweep(
     envelope = _window_envelope(netlist)
     points = []
     for f in freqs:
-        b_min = _min_bias(netlist, envelope, f, ceiling, receiver_window_frac)
+        b_min = _min_bias(envelope, f, ceiling, receiver_window_frac)
         lower = _power_db(b_min) if not math.isnan(b_min) else math.nan
         points.append(MarginPoint(f, lower, upper))
     return MarginCurve(points)

@@ -254,3 +254,17 @@ class TestAssignPhases:
     def test_width_mismatch(self, adder8):
         with pytest.raises(ValueError):
             assign_phases(adder8, StageLayout(16))
+
+    def test_gate_names_do_not_mark_padding(self, adder8):
+        # a logic gate named like a padding cell must survive the re-layout
+        anotb = next(g for g in adder8.gates if g.kind is GateKind.ANOTB)
+        renamed = adder8.replace_gates(
+            Gate(g.gid, g.spec, g.fanin, g.phase, "pad_x", g.region, g.ptl_um)
+            if g is anotb
+            else g
+            for g in adder8.gates
+        )
+        nl5 = assign_phases(renamed, StageLayout(8, idle_phases=0))
+        assert validate(nl5) == []
+        values = np.arange(256, dtype=np.uint64)
+        assert_adds(nl5, np.repeat(values, 256), np.tile(values, 256))

@@ -227,6 +227,38 @@ class TestSim:
         assert f"--cycles must be positive, got {cycles}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stimulus", ["--exhaustive", "--vectors", "--serial"])
+    def test_cycles_without_prbs_is_usage_error(
+        self, tmp_path, netlist_file, capsys, stimulus
+    ):
+        argv = [stimulus]
+        if stimulus != "--exhaustive":
+            src = tmp_path / "stimulus.txt"
+            src.write_text("1 2\n" if stimulus == "--vectors" else "0101\n")
+            argv.append(str(src))
+        code, out = run(
+            tmp_path, "sim", "--netlist", str(netlist_file), *argv,
+            "--cycles", "5", "--check",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--cycles applies only to --prbs" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("bias", ["nan", "inf"])
+    def test_non_finite_bias_is_usage_error(
+        self, tmp_path, netlist_file, capsys, bias
+    ):
+        code, _ = run(
+            tmp_path, "sim", "--netlist", str(netlist_file), "--prbs", "0xACE1",
+            "--timed", "--clock", "14GHz", f"--bias={bias}",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "clock bias must be positive and finite" in err
+        assert "Traceback" not in err
+
     def test_omitted_cycles_stays_null_in_manifest(self, tmp_path, netlist_file):
         code, out = run(
             tmp_path, "sim", "--netlist", str(netlist_file), "--prbs", "0xACE1",
@@ -284,6 +316,21 @@ class TestSim:
         assert ".7 is driven by no gate" in err
         assert "Traceback" not in err
 
+    def test_wrong_fanin_count_is_usage_error(
+        self, tmp_path, netlist_file, capsys
+    ):
+        bad = tmp_path / "bad.rqlnet"
+        text = netlist_file.read_text()
+        m = re.search(r"^gate (\d+) AndOr .*?fanin=(\d+\.\d+),\S+", text, re.M)
+        bad.write_text(text.replace(m.group(0), m.group(0).split(",")[0], 1))
+        code, _ = run(
+            tmp_path, "sim", "--netlist", str(bad), "--exhaustive",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"gate {m.group(1)} (" in err and "AndOr arity 1 != 2" in err
+        assert "Traceback" not in err
+
     def test_dangling_fanin_is_not_called_a_cycle(
         self, tmp_path, netlist_file, capsys
     ):
@@ -318,6 +365,23 @@ class TestMargins:
         widths = [float(ln.split(",")[3]) for ln in lines[1:]]
         assert all(a >= b - 1e-9 for a, b in zip(widths, widths[1:]))
 
+
+    def test_calibration_where_stripline_nearly_fills_the_window(
+        self, tmp_path, capsys
+    ):
+        code, gen = run(
+            tmp_path / "gen", "gen", "--width", "8", "--chip-mode",
+            "--ptl-um", "1000",
+        )
+        assert code == 0
+        code, out = run(
+            tmp_path, "margins", "--netlist", str(gen / "adder8.rqlnet"),
+            "--calibrate", "--calibrate-at", "24.99GHz",
+        )
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["ceiling"] > 1e3
 
     @pytest.mark.parametrize("ceiling", ["0", "-1", "nan"])
     def test_bad_ceiling_is_usage_error(

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -162,6 +164,13 @@ class TestClockConfig:
             ClockConfig(10e9, bias_rel=0.0)
         with pytest.raises(ValueError):
             ClockConfig(10e9, receiver_window_frac=0.3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ClockConfig(value)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ClockConfig(10e9, bias_rel=value)
 
 
 def test_gate_table_round_trip(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rqlsim.gates import GateKind, eval_gate
-from rqlsim.netlist import Netlist, missing_ports
+from rqlsim.netlist import Gate, Netlist, Pin, missing_ports
 from rqlsim.sim import simulate_logic, switching_activity
+from rqlsim.sim.encode import encode
 
 
 def dag_eval(netlist, a, b):
@@ -136,6 +137,22 @@ class TestSimulateLogic:
         with pytest.raises(ValueError, match=port):
             simulate_logic(broken, ([1], [2]))
         assert missing_ports(broken) == [port]
+
+    @pytest.mark.parametrize(
+        "kind, extra", [(GateKind.DELAY, 1), (GateKind.SOURCE, 1), (GateKind.ANDOR, -1)]
+    )
+    def test_wrong_arity_is_named(self, adder8, kind, extra):
+        g = next(g for g in adder8.gates if g.kind is kind and g.gid > 0)
+        fanin = (g.fanin + (Pin(0, 0),) * extra)[: len(g.fanin) + extra]
+        broken = adder8.replace_gates(
+            Gate(x.gid, x.spec, fanin, x.phase, x.name, x.region, x.ptl_um)
+            if x is g
+            else x
+            for x in adder8.gates
+        )
+        arity = f"{kind.value} arity {len(fanin)} != {len(g.fanin)}"
+        with pytest.raises(ValueError, match=rf"gate {g.gid} \({g.name}\): {arity}"):
+            encode(broken)
 
     def test_trace_csv(self, adder8, tmp_path):
         trace = simulate_logic(adder8, ([16, 255], [1, 255]))

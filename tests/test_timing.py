@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rqlsim import ClockConfig, build_kogge_stone
-from rqlsim.gates import DEFAULT_GATE_TABLE, GateKind
+from rqlsim.gates import DEFAULT_GATE_TABLE, GateKind, junction_delay
 from rqlsim.netlist import Gate, Netlist, Pin
 from rqlsim.sim import (
     DEFAULT_OVERBIAS,
@@ -16,7 +16,28 @@ from rqlsim.sim import (
     simulate_timed,
     worst_arrival,
 )
+from rqlsim.sim.encode import encode
 from rqlsim.sim.timing import _path_envelope, check_windows
+
+
+def accumulated_arrivals(netlist, clock):
+    """Reference arrivals: junction and stripline delays added up gate by
+    gate in topological order, the latest in-phase fanin first."""
+    arr = {}
+    d = junction_delay(clock.bias_rel)
+    for gid in netlist.topo_order():
+        g = netlist.gate(gid)
+        t = 0.0
+        for pin in g.fanin:
+            if netlist.gate(pin.gid).phase == g.phase:
+                t = max(t, arr[pin.gid])
+        if g.kind is GateKind.PTL_RECEIVER:
+            t += g.ptl_um / 100.0
+        arr[gid] = t + g.spec.seq_depth * d
+    return arr
+
+
+ORACLE_BIASES = [0.3, 0.77, 0.96, 1.0, 1.1, 1.37, 1.63, 3.7]
 
 
 class TestArrivals:
@@ -72,6 +93,24 @@ class TestArrivals:
         )
         with pytest.raises(ValueError, match="annotation"):
             arrival_times(broken, ClockConfig(10e9))
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_envelope_equals_accumulation(self, width):
+        netlist = build_kogge_stone(width)
+        for b in ORACLE_BIASES:
+            clock = ClockConfig(10e9, b)
+            assert arrival_times(netlist, clock) == accumulated_arrivals(netlist, clock)
+
+    @pytest.mark.parametrize("width, ptl_um", [(8, 300.0), (8, 1000.0), (64, 370.0)])
+    def test_envelope_matches_accumulation_with_stripline(self, width, ptl_um):
+        netlist = build_kogge_stone(width, chip_mode=True, ptl_length_um=ptl_um)
+        for b in ORACLE_BIASES:
+            clock = ClockConfig(10e9, b)
+            got = arrival_times(netlist, clock)
+            want = accumulated_arrivals(netlist, clock)
+            assert got.keys() == want.keys()
+            for gid, t in want.items():
+                assert got[gid] == pytest.approx(t, rel=1e-12)
 
     def test_simulate_timed_attaches_results(self, adder8):
         trace = simulate_timed(adder8, ClockConfig(10e9), ([1, 3], [2, 4]))
@@ -203,14 +242,30 @@ class TestMargins:
         netlist = ORACLE_NETS["chip8_ptl1000"]()
         assert math.isnan(min_operating_bias(netlist, 25e9, ceiling=math.inf))
 
-    def test_unresolvable_floor_is_an_error(self):
-        # the window exceeds the 10 ps stripline by 1e-6 ps: the floor
-        # (~9e6) lies far more float steps from the closed form than allowed
+    @pytest.mark.parametrize(
+        "f", [1e12 / 4 / (10.0 + 1e-6), 24.99e9], ids=["1e-6ps", "24.99GHz"]
+    )
+    def test_floor_is_exact_where_window_barely_exceeds_stripline(self, f):
+        # the 10 ps stripline all but fills the window, so the floor lies
+        # in the thousands (24.99 GHz) or near 1e7 (1e-6 ps of slack)
         netlist = ORACLE_NETS["chip8_ptl1000"]()
-        f = 1e12 / 4 / (10.0 + 1e-6)
-        with pytest.raises(ValueError, match="not resolved"):
-            min_operating_bias(netlist, f, ceiling=math.inf)
+        b = min_operating_bias(netlist, f, ceiling=math.inf)
+        assert b > 1e3
+        assert b == bisection_oracle(netlist, f, math.inf)
+        assert _clean(netlist, f, b)
+        assert not _clean(netlist, f, math.nextafter(b, 0.0))
         assert math.isnan(min_operating_bias(netlist, f))
+
+    def test_floor_below_a_tiny_ceiling(self):
+        # no junction on any path: every bias is clean, down to the ceiling
+        spec = DEFAULT_GATE_TABLE
+        gates = [
+            Gate(0, spec[GateKind.SOURCE], (), 0, "A0"),
+            Gate(1, spec[GateKind.SINK], (Pin(0, 0),), 0, "out"),
+        ]
+        netlist = Netlist(gates, {"A0": 0}, {}, 1, 1)
+        assert min_operating_bias(netlist, 10e9, ceiling=1e-7) == 1e-7
+        assert min_operating_bias(netlist, 10e9, ceiling=math.inf) == 1e-6
 
     def test_lower_limit_scales_linearly_with_frequency(self, adder8):
         b5 = min_operating_bias(adder8, 5e9)
@@ -257,3 +312,16 @@ class TestMargins:
 
     def test_worst_arrival_helper(self, adder8):
         assert worst_arrival(adder8, ClockConfig(10e9)) == pytest.approx(24.0)
+
+
+class TestDerivedDataOncePerNetlist:
+    @pytest.mark.parametrize(
+        "derive",
+        [encode, _path_envelope, lambda nl: nl.topo_order()],
+        ids=["encode", "path_envelope", "topo_order"],
+    )
+    def test_second_call_returns_the_same_object(self, derive):
+        netlist = build_kogge_stone(4)
+        first = derive(netlist)
+        assert derive(netlist) is first
+        assert derive(netlist.replace_gates(netlist.gates)) is not first
