@@ -241,8 +241,12 @@ def build_kogge_stone(
     plus Cout unless ``chip_mode`` truncates to the sum bits only.
     ``ptl_length_um``, when given, replaces the idle-phase hop of each
     longest lateral wire with a driver/receiver pair around a passive
-    stripline of that length.
+    stripline of that length, finite and >= 0.
     """
+    if ptl_length_um is not None and not 0 <= ptl_length_um < math.inf:
+        raise ValueError(
+            f"stripline length must be finite and >= 0, got {ptl_length_um}"
+        )
     layout = StageLayout(n_bits, idle_phases, idle_position)
     table = dict(DEFAULT_GATE_TABLE)
     if gate_table:
@@ -402,7 +406,7 @@ def assign_phases(netlist: Netlist, layout: StageLayout) -> Netlist:
     """
     if layout.n_bits != netlist.width:
         raise ValueError("layout width does not match netlist")
-    netlist.topo_order()  # raises on cycles
+    netlist.topo_order()  # raises on a structural defect
 
     old_idles = set(netlist.idle_phases)
 

@@ -70,7 +70,6 @@ def _gate_table(args):
 
 
 def cmd_gen(args) -> int:
-    out = _out_dir(args)
     netlist = adder.build_kogge_stone(
         args.width,
         idle_phases=args.idle,
@@ -80,6 +79,7 @@ def cmd_gen(args) -> int:
         gate_table=_gate_table(args),
         ptl_length_um=args.ptl_um,
     )
+    out = _out_dir(args)
     path = out / f"adder{args.width}.rqlnet"
     netlist.save(path)
     stats = netlist_stats(netlist)
@@ -452,11 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sim", help="simulate a netlist")
     s.add_argument("--netlist", required=True)
-    s.add_argument("--vectors", help="file of 'A B' hex pairs per cycle")
-    s.add_argument("--serial", help="bit-string file for the shift register")
-    s.add_argument("--prbs", help="LFSR seed (e.g. 0xACE1)")
+    stimulus = s.add_mutually_exclusive_group()
+    stimulus.add_argument("--vectors", help="file of 'A B' hex pairs per cycle")
+    stimulus.add_argument("--serial", help="bit-string file for the shift register")
+    stimulus.add_argument("--prbs", help="LFSR seed (e.g. 0xACE1)")
+    stimulus.add_argument("--exhaustive", action="store_true")
     s.add_argument("--cycles", type=int)
-    s.add_argument("--exhaustive", action="store_true")
     s.add_argument("--check", action="store_true")
     s.add_argument("--timed", action="store_true")
     s.add_argument("--clock", default="10GHz")

@@ -143,14 +143,11 @@ def save_gate_table(table: dict[GateKind, GateSpec], path) -> None:
 class ClockConfig:
     """Four-phase AC clock settings.
 
-    ``bias_rel`` is the clock current amplitude relative to nominal;
-    ``receiver_window_frac`` widens the quarter-period acceptance window of a
-    receiving gate by that fraction of the full clock period.
+    ``bias_rel`` is the clock current amplitude relative to nominal.
     """
 
     frequency_hz: float
     bias_rel: float = 1.0
-    receiver_window_frac: float = 0.0
 
     def __post_init__(self):
         if not (self.frequency_hz > 0 and math.isfinite(self.frequency_hz)):
@@ -161,8 +158,6 @@ class ClockConfig:
             raise ValueError(
                 f"clock bias must be positive and finite, got {self.bias_rel}"
             )
-        if not 0.0 <= self.receiver_window_frac <= 0.25:
-            raise ValueError("receiver_window_frac outside [0, 0.25]")
 
     @property
     def period_ps(self) -> float:
@@ -171,7 +166,7 @@ class ClockConfig:
     @property
     def window_ps(self) -> float:
         """Pulse acceptance window of one phase, picoseconds."""
-        return self.period_ps * (0.25 + self.receiver_window_frac)
+        return self.period_ps * 0.25
 
 
 @dataclass(frozen=True)

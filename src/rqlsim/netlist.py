@@ -1,14 +1,22 @@
 """Phase-assigned gate netlists: the artifact every analysis consumes.
 
 A netlist is a DAG of gates.  Each gate carries its resolved device spec and
-a clock phase; nets connect a driver output pin to consumer input pins and
-may only go forward by at most one phase.  The text serialization is
-versioned and round-trips losslessly.
+a clock phase; nets connect a driver output pin to consumer input pins.  Two
+sets of rules judge a netlist.  ``defects`` finds the structural faults no
+analysis can run on (a fanin count that does not fit the kind, a fanin or
+output naming no existing output pin, an input that is not a Source, a PTL
+receiver without a finite, non-negative stripline length, a cycle);
+``topo_order``, and with it every analysis, raises the first of them.
+``validate`` reports those plus the design rules (phase range, nets going
+forward by at most one phase, the fanout bound, no logic in idle phases),
+which the analyses do not need.  The text serialization is versioned and
+round-trips losslessly.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -62,16 +70,6 @@ class Gate:
     def slot(self) -> PhaseSlot:
         return PhaseSlot(self.phase)
 
-    def arity_error(self) -> str | None:
-        """The diagnostic for a fanin count that does not fit the kind."""
-        n_in = N_INPUTS[self.kind]
-        if len(self.fanin) == n_in:
-            return None
-        return (
-            f"gate {self.gid} ({self.name}): {self.kind.value} arity "
-            f"{len(self.fanin)} != {n_in}"
-        )
-
 
 class Netlist:
     """Immutable-by-convention container of gates plus named I/O."""
@@ -111,38 +109,30 @@ class Netlist:
                 fo.setdefault(pin, []).append((g.gid, i))
         return fo
 
-    @per_netlist
     def topo_order(self) -> list[int]:
-        """Gate ids in topological order; raises on a dangling fanin or a
-        cycle."""
-        for g in self.gates:
-            for pin in g.fanin:
-                if pin.gid not in self._by_gid:
-                    raise ValueError(
-                        f"gate {g.gid} ({g.name}): dangling fanin "
-                        f"{pin.gid}.{pin.pin}"
-                    )
-        order = self._kahn_order()
-        if len(order) != len(self.gates):
-            raise ValueError("netlist contains a cycle")
-        return order
+        """Gate ids in topological order; raises the first of ``defects``
+        as ``ValueError``."""
+        if found := defects(self):
+            raise ValueError(found[0])
+        return self._kahn_order()
 
+    @per_netlist
     def _kahn_order(self) -> list[int]:
         """Kahn's order over the fanins that name existing gates; it leaves
         out the gates on or behind a cycle."""
-        indeg = {g.gid: 0 for g in self.gates}
-        consumers: dict[int, list[int]] = {}
+        indeg = dict.fromkeys(self._by_gid, 0)
+        consumers: dict[int, list[int]] = {gid: [] for gid in self._by_gid}
         for g in self.gates:
             for pin in g.fanin:
-                if pin.gid in self._by_gid:
+                if (fed := consumers.get(pin.gid)) is not None:
                     indeg[g.gid] += 1
-                    consumers.setdefault(pin.gid, []).append(g.gid)
+                    fed.append(g.gid)
         ready = sorted(gid for gid, d in indeg.items() if d == 0)
         order: list[int] = []
         while ready:
             gid = ready.pop()
             order.append(gid)
-            for c in consumers.get(gid, ()):
+            for c in consumers[gid]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     ready.append(c)
@@ -292,20 +282,59 @@ def _parse_idle(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p != "")
 
 
-def validate(netlist: Netlist, max_fanout: int = 4) -> list[str]:
-    """Structural diagnostics; an empty list means the netlist is clean.
-
-    Checks: acyclicity, per-kind arity, phase monotonicity (a net may only go
-    from phase p to p or p+1), the fanout bound, that idle phases hold only
-    interconnect cells, and that I/O references resolve.
-    """
-    diags: list[str] = []
-    if len(netlist._kahn_order()) != len(netlist.gates):
-        diags.append("netlist contains a cycle")
-
+@per_netlist
+def defects(netlist: Netlist) -> list[str]:
+    """Structural faults no analysis can run on; an empty list means every
+    analysis accepts the netlist."""
+    n_out = {g.gid: N_OUTPUTS[g.spec.kind] for g in netlist.gates}
+    found: list[str] = []
     for g in netlist.gates:
-        if arity := g.arity_error():
-            diags.append(arity)
+        kind = g.spec.kind
+        if len(g.fanin) != N_INPUTS[kind]:
+            found.append(
+                f"gate {g.gid} ({g.name}): {kind.value} arity {len(g.fanin)} "
+                f"!= {N_INPUTS[kind]}"
+            )
+        for pin in g.fanin:
+            if pin.gid not in n_out:
+                found.append(
+                    f"gate {g.gid} ({g.name}): dangling fanin {pin.gid}.{pin.pin}"
+                )
+            elif not 0 <= pin.pin < n_out[pin.gid]:
+                found.append(
+                    f"gate {g.gid} ({g.name}): fanin pin {pin.gid}.{pin.pin} "
+                    f"is driven by no gate"
+                )
+        if kind is GateKind.PTL_RECEIVER:
+            if g.ptl_um is None:
+                found.append(
+                    f"gate {g.gid} ({g.name}): PTL receiver lacks a length annotation"
+                )
+            elif not 0 <= g.ptl_um < math.inf:
+                found.append(
+                    f"gate {g.gid} ({g.name}): PTL receiver length "
+                    f"ptl={g.ptl_um!r} is not finite and >= 0"
+                )
+    for name, gid in netlist.inputs.items():
+        if gid not in n_out or netlist.gate(gid).kind is not GateKind.SOURCE:
+            found.append(f"input {name}: not a Source gate")
+    for name, pin in netlist.outputs.items():
+        if not 0 <= pin.pin < n_out.get(pin.gid, 0):
+            found.append(
+                f"output {name}: pin {pin.gid}.{pin.pin} is driven by no gate"
+            )
+    if len(netlist._kahn_order()) != len(netlist.gates):
+        found.append("netlist contains a cycle")
+    return found
+
+
+def validate(netlist: Netlist, max_fanout: int = 4) -> list[str]:
+    """``defects`` plus the design rules; an empty list means the netlist is
+    clean.  The design rules: phases lie in range, a net goes from phase p
+    to p or p+1, no pin drives more than ``max_fanout`` inputs, and idle
+    phases hold only interconnect cells."""
+    diags = list(defects(netlist))
+    for g in netlist.gates:
         if not 0 <= g.phase < netlist.total_phases:
             diags.append(f"gate {g.gid} ({g.name}): phase {g.phase} out of range")
         if g.phase in netlist.idle_phases and g.kind in (
@@ -316,15 +345,8 @@ def validate(netlist: Netlist, max_fanout: int = 4) -> list[str]:
                 f"gate {g.gid} ({g.name}): logic gate in idle phase {g.phase}"
             )
         for pin in g.fanin:
-            if pin.gid not in netlist._by_gid:
-                diags.append(f"gate {g.gid} ({g.name}): dangling fanin {pin}")
-                continue
-            drv = netlist.gate(pin.gid)
-            if pin.pin >= N_OUTPUTS[drv.kind]:
-                diags.append(
-                    f"gate {g.gid} ({g.name}): fanin pin {pin} does not exist"
-                )
-            if not g.phase - 1 <= drv.phase <= g.phase:
+            drv = netlist._by_gid.get(pin.gid)
+            if drv is not None and not g.phase - 1 <= drv.phase <= g.phase:
                 diags.append(
                     f"net {drv.gid}->{g.gid}: phase {drv.phase} -> {g.phase} "
                     f"violates phase monotonicity"
@@ -336,13 +358,6 @@ def validate(netlist: Netlist, max_fanout: int = 4) -> list[str]:
                 f"pin {pin.gid}.{pin.pin}: fanout {len(consumers)} exceeds "
                 f"{max_fanout}"
             )
-
-    for name, gid in netlist.inputs.items():
-        if gid not in netlist._by_gid or netlist.gate(gid).kind is not GateKind.SOURCE:
-            diags.append(f"input {name}: not a Source gate")
-    for name, pin in netlist.outputs.items():
-        if pin.gid not in netlist._by_gid:
-            diags.append(f"output {name}: dangling pin {pin}")
     return diags
 
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gates import N_INPUTS, N_OUTPUTS, GateKind
-from ..netlist import Netlist, Pin, per_netlist
+from ..gates import N_OUTPUTS, GateKind
+from ..netlist import Netlist, per_netlist
 
 OP_INPUT = 0
 OP_OR = 1
@@ -29,18 +29,19 @@ class Program:
     n_slots: int
     input_slots: dict[str, int]  # primary input name -> slot
     output_slots: dict[str, int]  # primary output name -> slot
-    pin_slot: dict[Pin, int]
-    gate_slots: list[tuple[int, int, int]]  # (gid, first slot, n_pins)
+    gate_ids: np.ndarray  # gates with output pins, in slot order
+    gate_starts: np.ndarray  # first slot of each of those gates
 
 
 @per_netlist
 def encode(netlist: Netlist) -> Program:
     order = netlist.topo_order()
-    pin_slot: dict[Pin, int] = {}
+    pin_slot: dict[tuple[int, int], int] = {}  # a Pin looks up its (gid, pin)
     ops: list[int] = []
     src_a: list[int] = []
     src_b: list[int] = []
-    gate_slots: list[tuple[int, int, int]] = []
+    gate_ids: list[int] = []
+    gate_starts: list[int] = []
     input_slots: dict[str, int] = {}
 
     gid_to_input = {gid: name for name, gid in netlist.inputs.items()}
@@ -48,17 +49,8 @@ def encode(netlist: Netlist) -> Program:
     for gid in order:
         g = netlist.gate(gid)
         kind = g.kind
-        n_out = N_OUTPUTS[kind]
         first = len(ops)
-        if len(g.fanin) != N_INPUTS[kind]:
-            raise ValueError(g.arity_error())
-        try:
-            srcs = [pin_slot[p] for p in g.fanin]
-        except KeyError as exc:
-            raise ValueError(
-                f"gate {gid} ({g.name}): fanin pin {exc.args[0].gid}."
-                f"{exc.args[0].pin} is driven by no gate"
-            ) from None
+        srcs = [pin_slot[p] for p in g.fanin]
         if kind is GateKind.ANDOR:
             ops += [OP_OR, OP_AND]
             src_a += [srcs[0], srcs[0]]
@@ -84,24 +76,18 @@ def encode(netlist: Netlist) -> Program:
                 input_slots[name] = first
         elif kind is GateKind.SINK:
             continue  # no output pins
-        for k in range(n_out):
-            pin_slot[Pin(gid, k)] = first + k
-        gate_slots.append((gid, first, n_out))
+        for k in range(N_OUTPUTS[kind]):
+            pin_slot[gid, k] = first + k
+        gate_ids.append(gid)
+        gate_starts.append(first)
 
-    output_slots = {}
-    for name, pin in netlist.outputs.items():
-        if pin not in pin_slot:
-            raise ValueError(
-                f"output {name}: pin {pin.gid}.{pin.pin} is driven by no gate"
-            )
-        output_slots[name] = pin_slot[pin]
     return Program(
         ops=np.asarray(ops, dtype=np.uint8),
         src_a=np.asarray(src_a, dtype=np.int32),
         src_b=np.asarray(src_b, dtype=np.int32),
         n_slots=len(ops),
         input_slots=input_slots,
-        output_slots=output_slots,
-        pin_slot=pin_slot,
-        gate_slots=gate_slots,
+        output_slots={name: pin_slot[pin] for name, pin in netlist.outputs.items()},
+        gate_ids=np.asarray(gate_ids, dtype=np.int64),
+        gate_starts=np.asarray(gate_starts, dtype=np.intp),
     )

@@ -114,10 +114,7 @@ def simulate_logic(netlist: Netlist, vectors) -> SimTrace:
 
     # Each gate owns the contiguous slots from its first to the next gate's.
     slot_pops = np.bitwise_count(values).sum(axis=1, dtype=np.int64)
-    gate_ids = np.asarray([gid for gid, _, _ in program.gate_slots])
-    gate_events = np.add.reduceat(
-        slot_pops, [first for _, first, _ in program.gate_slots]
-    )
+    gate_events = np.add.reduceat(slot_pops, program.gate_starts)
 
     wave_events = np.zeros(n, dtype=np.int64)
     for w0 in range(0, values.shape[1], _UNPACK_WORDS):
@@ -137,7 +134,7 @@ def simulate_logic(netlist: Netlist, vectors) -> SimTrace:
         sums=sums,
         couts=couts,
         gate_events=gate_events,
-        gate_ids=gate_ids,
+        gate_ids=program.gate_ids,
         wave_events=wave_events,
     )
 

@@ -149,10 +149,6 @@ def _path_envelope(netlist: Netlist) -> dict[int, tuple[tuple[float, int], ...]]
                 paths += env[pin.gid]
         ptl = 0.0
         if g.kind is GateKind.PTL_RECEIVER:
-            if g.ptl_um is None:
-                raise ValueError(
-                    f"gate {gid} ({g.name}): PTL receiver lacks a length annotation"
-                )
             ptl = g.ptl_um / PTL_SPEED_UM_PER_PS
         env[gid] = _pareto((l + ptl, s + g.spec.seq_depth) for l, s in paths)
     return env
@@ -164,8 +160,8 @@ def _window_envelope(netlist: Netlist) -> tuple[tuple[float, int], ...]:
     return _pareto(p for g in netlist.gates if g.spec.jj_count for p in env[g.gid])
 
 
-def _min_bias(envelope, frequency_hz, ceiling, window_frac) -> float:
-    window = ClockConfig(frequency_hz, 1.0, window_frac).window_ps
+def _min_bias(envelope, frequency_hz, ceiling) -> float:
+    window = ClockConfig(frequency_hz).window_ps
 
     def clean(bias: float) -> bool:
         d = junction_delay(bias)
@@ -193,14 +189,13 @@ def min_operating_bias(
     frequency_hz: float,
     *,
     ceiling: float = DEFAULT_OVERBIAS,
-    receiver_window_frac: float = 0.0,
 ) -> float:
     """Smallest float relative bias (floor 1e-6) at which ``check_windows``
     finds no violation, or NaN if none lies at or below the ceiling or
     stripline delay alone fills a window."""
     _check_ceiling(ceiling)
     envelope = _window_envelope(netlist)
-    return _min_bias(envelope, frequency_hz, ceiling, receiver_window_frac)
+    return _min_bias(envelope, frequency_hz, ceiling)
 
 
 def margin_sweep(
@@ -208,7 +203,6 @@ def margin_sweep(
     frequencies,
     *,
     ceiling: float = DEFAULT_OVERBIAS,
-    receiver_window_frac: float = 0.0,
 ) -> MarginCurve:
     """Clock-power margins over a frequency range.
 
@@ -224,7 +218,7 @@ def margin_sweep(
     envelope = _window_envelope(netlist)
     points = []
     for f in freqs:
-        b_min = _min_bias(envelope, f, ceiling, receiver_window_frac)
+        b_min = _min_bias(envelope, f, ceiling)
         lower = _power_db(b_min) if not math.isnan(b_min) else math.nan
         points.append(MarginPoint(f, lower, upper))
     return MarginCurve(points)
@@ -234,17 +228,11 @@ def calibrate_overbias(
     netlist: Netlist,
     frequency_hz: float = 10e9,
     width_db: float = 4.6,
-    receiver_window_frac: float = 0.0,
 ) -> float:
     """Over-bias ceiling that makes the margin at one frequency come out to
     ``width_db`` exactly.  This is a calibration, not a prediction: the
     physics of gate over-bias is outside the model."""
-    b_min = min_operating_bias(
-        netlist,
-        frequency_hz,
-        ceiling=math.inf,
-        receiver_window_frac=receiver_window_frac,
-    )
+    b_min = min_operating_bias(netlist, frequency_hz, ceiling=math.inf)
     if math.isnan(b_min):
         raise ValueError("circuit has no operating point at this frequency")
     return b_min * 10.0 ** (width_db / 20.0)

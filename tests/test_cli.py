@@ -4,6 +4,8 @@ import re
 import pytest
 
 from rqlsim.cli import main
+from rqlsim.gates import GateKind
+from rqlsim.netlist import Netlist, Pin
 
 
 def run(tmp_path, *argv):
@@ -45,6 +47,17 @@ class TestGen:
     def test_invalid_width_is_a_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "gen", "--width", "7")
         assert code == 2
+
+    @pytest.mark.parametrize("length", ["-1000", "nan", "inf"])
+    def test_bad_stripline_length_is_usage_error(self, tmp_path, capsys, length):
+        code, out = run(
+            tmp_path, "gen", "--width", "8", "--chip-mode", f"--ptl-um={length}"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stripline length must be finite and >= 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_csv_format_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -246,6 +259,26 @@ class TestSim:
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "other",
+        [["--vectors", "VECTORS"], ["--prbs", "0x1", "--cycles", "5"]],
+        ids=["vectors", "prbs"],
+    )
+    def test_stimulus_options_are_exclusive(
+        self, tmp_path, netlist_file, capsys, other
+    ):
+        vf = tmp_path / "vecs.txt"
+        vf.write_text("1 2\n")
+        other = [str(vf) if arg == "VECTORS" else arg for arg in other]
+        with pytest.raises(SystemExit) as exc:
+            run(
+                tmp_path, "sim", "--netlist", str(netlist_file), "--exhaustive",
+                *other, "--check",
+            )
+        assert exc.value.code == 2
+        assert "not allowed with argument --exhaustive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bias", ["nan", "inf"])
     def test_non_finite_bias_is_usage_error(
         self, tmp_path, netlist_file, capsys, bias
@@ -349,6 +382,145 @@ class TestSim:
         out = capsys.readouterr().out
         assert "dangling fanin" in out
         assert "cycle" not in out
+
+
+@pytest.fixture(scope="module")
+def ptl_netlist_file(tmp_path_factory):
+    """A 4-bit adder whose idle-phase laterals ride striplines."""
+    base = tmp_path_factory.mktemp("gen_ptl")
+    code = main(["--out", str(base), "gen", "--width", "4", "--ptl-um", "300"])
+    assert code == 0
+    return base / "adder4.rqlnet"
+
+
+def _set_fanin(text, gid, fanin):
+    return re.sub(
+        rf"^(gate {gid} .*? fanin=)\S+", rf"\g<1>{fanin}", text, count=1, flags=re.M
+    )
+
+
+def _pins(pins):
+    return ",".join(f"{p.gid}.{p.pin}" for p in pins)
+
+
+def _first(nl, kind):
+    return next(g for g in nl.gates if g.kind is kind)
+
+
+# Each mutation takes the text and its parsed netlist, and returns the
+# mutated text and the defect every command must name.
+def _dangling_fanin(text, nl):
+    bad = re.sub(r"fanin=\d+\.", "fanin=88888.", text, count=1)
+    return bad, "dangling fanin 88888.0"
+
+
+def _fanin_pin(text, nl):
+    bad = re.sub(r"fanin=(\d+)\.0", r"fanin=\1.7", text, count=1)
+    return bad, ".7 is driven by no gate"
+
+
+def _arity(text, nl):
+    g = _first(nl, GateKind.ANDOR)
+    return (
+        _set_fanin(text, g.gid, _pins(g.fanin[:1])),
+        f"gate {g.gid} ({g.name}): AndOr arity 1 != 2",
+    )
+
+
+def _cycle(text, nl):
+    """Feed an AndOr that drives another AndOr back from its consumer."""
+    g = next(
+        g for g in nl.gates
+        if g.kind is GateKind.ANDOR
+        and any(nl.gate(p.gid).kind is GateKind.ANDOR for p in g.fanin)
+    )
+    h = nl.gate(next(p.gid for p in g.fanin if nl.gate(p.gid).kind is GateKind.ANDOR))
+    fanin = _pins((Pin(g.gid, 0),) + h.fanin[1:])
+    return _set_fanin(text, h.gid, fanin), "netlist contains a cycle"
+
+
+def _input_not_source(text, nl):
+    gid = _first(nl, GateKind.ANDOR).gid
+    bad = re.sub(r" A0:\d+", f" A0:{gid}", text, count=1)
+    return bad, "input A0: not a Source gate"
+
+
+def _output_pin(text, nl):
+    gid = nl.outputs["S0"].gid
+    return (
+        re.sub(r" S0:\d+\.\d+", f" S0:{gid}.7", text, count=1),
+        f"output S0: pin {gid}.7 is driven by no gate",
+    )
+
+
+def _ptl_missing(text, nl):
+    g = _first(nl, GateKind.PTL_RECEIVER)
+    return (
+        re.sub(r" ptl=\S+", "", text, count=1),
+        f"gate {g.gid} ({g.name}): PTL receiver lacks a length annotation",
+    )
+
+
+def _ptl_negative(text, nl):
+    g = _first(nl, GateKind.PTL_RECEIVER)
+    return (
+        re.sub(r" ptl=\S+", " ptl=-1000.0", text, count=1),
+        f"gate {g.gid} ({g.name}): PTL receiver length ptl=-1000.0 is not finite "
+        f"and >= 0",
+    )
+
+
+NETLIST_MUTATIONS = [
+    _dangling_fanin, _fanin_pin, _arity, _cycle, _input_not_source, _output_pin,
+    _ptl_missing, _ptl_negative,
+]
+
+
+class TestNetlistRules:
+    """``validate`` and every analysis refuse the same structural defects,
+    in the same words; a design rule stays ``validate``'s alone."""
+
+    ANALYSES = [
+        ["sim", "--exhaustive"],
+        ["sim", "--prbs", "0x1", "--timed"],
+        ["margins"],
+    ]
+
+    def _analyse(self, tmp_path, path, capsys):
+        for k, cmd in enumerate(self.ANALYSES):
+            code, _ = run(tmp_path / str(k), cmd[0], "--netlist", str(path), *cmd[1:])
+            yield code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate", NETLIST_MUTATIONS, ids=lambda f: f.__name__.lstrip("_")
+    )
+    def test_defect_is_refused_by_every_command(
+        self, tmp_path, ptl_netlist_file, capsys, mutate
+    ):
+        text = ptl_netlist_file.read_text()
+        bad_text, defect = mutate(text, Netlist.loads(text))
+        assert bad_text != text
+        bad = tmp_path / "bad.rqlnet"
+        bad.write_text(bad_text)
+
+        code, _ = run(tmp_path, "validate", str(bad))
+        assert code == 1
+        reported = capsys.readouterr().out.splitlines()
+        assert any(defect in line for line in reported)
+
+        for code, err in self._analyse(tmp_path, bad, capsys):
+            assert code == 2
+            assert defect in err and "Traceback" not in err
+            assert err.removeprefix("rqlsim: ").rstrip("\n") in reported
+
+    def test_design_rule_is_validate_only(self, tmp_path, ptl_netlist_file, capsys):
+        bad = tmp_path / "bad.rqlnet"
+        bad.write_text(ptl_netlist_file.read_text().replace("phase=1", "phase=0", 1))
+        code, _ = run(tmp_path, "validate", str(bad))
+        assert code == 1
+        assert "monotonicity" in capsys.readouterr().out
+        for code, err in self._analyse(tmp_path, bad, capsys):
+            assert code == 0 and err == ""
 
 
 class TestMargins:

@@ -1,9 +1,13 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rqlsim import build_kogge_stone
 from rqlsim.gates import DEFAULT_GATE_TABLE, GateKind
-from rqlsim.netlist import Gate, Netlist, Pin, netlist_stats, validate
+from rqlsim.netlist import Gate, Netlist, Pin, defects, netlist_stats, validate
+from rqlsim.sim.encode import encode
+from rqlsim.sim.timing import _path_envelope
 
 
 def _gate(gid, kind, fanin, phase, name, ic=162.0, jj=None, region="cla_core"):
@@ -170,6 +174,61 @@ class TestSerialization:
         text = adder8.dumps().replace("width 8\n", "width eight\n", 1)
         with pytest.raises(ValueError, match="^line 2: bad width record"):
             Netlist.loads(text)
+
+
+# A valid 4-bit adder with striplines, so every record kind occurs, and the
+# (line, field) positions of its space-separated fields after the header
+# line; the wiring fields (fanin, ptl, named I/O) are drawn more often.
+_VALID_LINES = build_kogge_stone(4, ptl_length_um=300.0).dumps().splitlines()
+_POSITIONS = [
+    (k, i) for k, ln in enumerate(_VALID_LINES) if k for i in range(len(ln.split(" ")))
+]
+_WIRING = [
+    (k, i)
+    for k, i in _POSITIONS
+    if re.match(r"(fanin|ptl)=|\w+:", _VALID_LINES[k].split(" ")[i])
+]
+_PIN = st.builds("{}.{}".format, st.integers(-1, 64), st.integers(-1, 2))
+_FIELD_VALUES = st.one_of(
+    st.integers(-1, 64).map(str),
+    _PIN,
+    st.lists(_PIN, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(
+        ["-1000.0", "0.0", "nan", "inf", "-"] + [k.value for k in GateKind]
+    ),
+    st.text(alphabet="0123456789.,:-=x", max_size=4),
+)
+
+
+@st.composite
+def _mutant_text(draw):
+    """The valid text with one field replaced: the part after its ``=`` or
+    ``:`` if it has one, else all of it."""
+    k, i = draw(st.one_of(st.sampled_from(_POSITIONS), st.sampled_from(_WIRING)))
+    fields = _VALID_LINES[k].split(" ")
+    key, sep, _ = fields[i].rpartition("=" if "=" in fields[i] else ":")
+    fields[i] = key + sep + draw(_FIELD_VALUES)
+    lines = list(_VALID_LINES)
+    lines[k] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestRulesUnderMutation:
+    @settings(max_examples=200, deadline=None)
+    @given(_mutant_text())
+    def test_defects_decide_whether_analyses_run(self, text):
+        try:
+            nl = Netlist.loads(text)
+        except ValueError:
+            return
+        assert Netlist.loads(nl.dumps()).dumps() == nl.dumps()
+        try:
+            encode(nl)
+            _path_envelope(nl)
+        except ValueError as exc:
+            assert defects(nl) and str(exc) == defects(nl)[0]
+        else:
+            assert defects(nl) == []
 
 
 class TestStats:
