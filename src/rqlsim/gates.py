@@ -75,8 +75,11 @@ class GateSpec:
                 f"{self.kind.value}: seq_depth {self.seq_depth} exceeds "
                 f"jj_count {self.jj_count}"
             )
-        if self.jj_count > 0 and self.ic_avg_ua <= 0:
-            raise ValueError(f"{self.kind.value}: ic_avg must be positive")
+        if self.jj_count > 0 and not 0 < self.ic_avg_ua < math.inf:
+            raise ValueError(
+                f"{self.kind.value}: ic_avg must be positive and finite, "
+                f"got {self.ic_avg_ua!r}"
+            )
         if self.kind is GateKind.PTL_RECEIVER and self.seq_depth < 1:
             raise ValueError("PtlReceiver needs at least one sequential junction")
         if self.kind in (GateKind.SOURCE, GateKind.SINK) and self.jj_count != 0:

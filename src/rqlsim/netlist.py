@@ -4,8 +4,9 @@ A netlist is a DAG of gates.  Each gate carries its resolved device spec and
 a clock phase; nets connect a driver output pin to consumer input pins.  Two
 sets of rules judge a netlist.  ``defects`` finds the structural faults no
 analysis can run on (a fanin count that does not fit the kind, a fanin or
-output naming no existing output pin, an input that is not a Source, a PTL
-receiver without a finite, non-negative stripline length, a cycle);
+output naming no existing output pin, an input that is not a Source or
+names the Source of another input, a PTL receiver without a finite,
+non-negative stripline length, a cycle);
 ``topo_order``, and with it every analysis, raises the first of them.
 ``validate`` reports those plus the design rules (phase range, nets going
 forward by at most one phase, the fanout bound, no logic in idle phases),
@@ -315,9 +316,12 @@ def defects(netlist: Netlist) -> list[str]:
                     f"gate {g.gid} ({g.name}): PTL receiver length "
                     f"ptl={g.ptl_um!r} is not finite and >= 0"
                 )
+    named: dict[int, str] = {}  # Source gid -> its first input name
     for name, gid in netlist.inputs.items():
         if gid not in n_out or netlist.gate(gid).kind is not GateKind.SOURCE:
             found.append(f"input {name}: not a Source gate")
+        elif named.setdefault(gid, name) != name:
+            found.append(f"input {name}: Source gate {gid} is already input {named[gid]}")
     for name, pin in netlist.outputs.items():
         if not 0 <= pin.pin < n_out.get(pin.gid, 0):
             found.append(

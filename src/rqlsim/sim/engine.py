@@ -1,8 +1,10 @@
 """The word-level evaluation kernel and its entry point.
 
-``run_program`` owns the packing of input vectors into words and returns the
-full slot/word value matrix; ``_eval_words`` evaluates the slots with numpy
-bitwise ops row by row over the word axis.
+Stimuli travel packed: ``pack_bits`` turns one input's bit per vector into
+uint64 words, vector i at bit i % 64 of word i // 64.  ``run_program`` takes
+those words per input name and returns the full slot/word value matrix;
+``_eval_words`` evaluates the slots with numpy bitwise ops row by row over
+the word axis.
 """
 
 from __future__ import annotations
@@ -52,25 +54,26 @@ def _eval_words(ops, src_a, src_b, values: np.ndarray) -> None:
 
 def run_program(
     program: Program,
-    input_bits: dict[str, np.ndarray],
+    input_words: dict[str, np.ndarray],
     n_vectors: int,
 ) -> np.ndarray:
     """Evaluate all slots for ``n_vectors`` stimuli.
 
-    ``input_bits`` maps primary input names to 0/1 arrays of length
-    ``n_vectors``.  Returns the (n_slots, n_words) uint64 value matrix; tail
-    bits of the last word beyond ``n_vectors`` are zero.
+    ``input_words`` maps primary input names to their stimulus as
+    ``pack_bits`` packs it: ``ceil(n_vectors / 64)`` uint64 words.  Returns
+    the (n_slots, n_words) uint64 value matrix; tail bits of the last word
+    beyond ``n_vectors`` are zero.
     """
     n_words = (n_vectors + 63) // 64
     values = np.zeros((program.n_slots, n_words), dtype=np.uint64)
     for name, slot in program.input_slots.items():
         try:
-            bits = input_bits[name]
+            words = input_words[name]
         except KeyError:
             raise ValueError(f"missing stimulus for input {name!r}") from None
-        if len(bits) != n_vectors:
+        if len(words) != n_words:
             raise ValueError(f"stimulus {name!r} has wrong length")
-        values[slot] = pack_bits(bits)
+        values[slot] = words
     _eval_words(program.ops, program.src_a, program.src_b, values)
     # Mask tail bits so popcounts see only real vectors.
     tail = n_vectors % 64

@@ -4,6 +4,12 @@ Wave pipelining moves one input vector through the pipe per clock cycle;
 values are those of plain combinational evaluation, offset by the pipeline
 depth in cycles.  Switching events are counted per gate output pin asserting
 a logical one, since only ones dissipate power.
+
+``simulate_logic`` packs each operand bit into words (``engine.pack_bits``)
+and hands them to ``engine.run_program``.  From the slot/word value matrix
+it counts events per gate with one popcount ``reduceat``, and per wave with
+a carry-save adder tree over bit planes (a vertical population count, see
+``_wave_events``).
 """
 
 from __future__ import annotations
@@ -16,6 +22,12 @@ import numpy as np
 from ..netlist import Netlist, missing_ports
 from . import engine
 from .encode import encode
+
+# Rows of trace.csv formatted at a time, which bounds the writer's memory.
+_CSV_ROWS = 1 << 15
+# Words of slot values reduced at a time for per-wave events.
+_COUNT_WORDS = 64
+_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
 @dataclass
@@ -54,26 +66,127 @@ class SimTrace:
 
     def to_csv(self, path) -> None:
         """One row per cycle: inputs entering, outputs emerging, events of
-        the wave entering that cycle."""
+        the wave entering that cycle.  ``_CSV_ROWS`` rows at a time are
+        formatted as one byte matrix of right-aligned digit columns, with a
+        mask that drops leading zeros and the blank cells."""
         n_cycles = self.n_vectors + self.offset_cycles
-        with open(path, "w") as fh:
-            cols = "cycle,a_hex,b_hex,s_hex"
-            if self.couts is not None:
-                cols += ",cout"
-            fh.write(cols + ",events\n")
-            for t in range(n_cycles):
-                a = f"{int(self.a[t]):x}" if t < self.n_vectors else ""
-                b = f"{int(self.b[t]):x}" if t < self.n_vectors else ""
-                s, cout = self.output_at_cycle(t)
-                ev = str(int(self.wave_events[t])) if t < self.n_vectors else ""
-                row = f"{t},{a},{b},{s:x}"
-                if self.couts is not None:
-                    row += f",{cout}"
-                fh.write(row + f",{ev}\n")
+        cols = "cycle,a_hex,b_hex,s_hex"
+        if self.couts is not None:
+            cols += ",cout"
+        with open(path, "wb") as fh:
+            fh.write(f"{cols},events\n".encode())
+            for t0 in range(0, n_cycles, _CSV_ROWS):
+                fh.write(self._csv_rows(t0, min(t0 + _CSV_ROWS, n_cycles)))
+
+    def _csv_rows(self, t0: int, t1: int) -> bytes:
+        n, offset = self.n_vectors, self.offset_cycles
+        live = max(0, min(n, t1) - t0)  # rows whose wave enters: t < n
+
+        def entering(values, hex_digits):
+            chars, keep = _cells(_window(values, t0, t1), hex_digits)
+            keep[live:] = False  # drain rows leave the cell blank
+            return chars, keep
+
+        def emerging(values, hex_digits):  # 0 while the pipe fills
+            return _cells(_window(values, t0 - offset, t1 - offset), hex_digits)
+
+        always = np.ones((t1 - t0, 1), bool)
+        comma = (np.full((t1 - t0, 1), ord(","), np.uint8), always)
+        cells = [
+            _cells(np.arange(t0, t1, dtype=np.uint64), False),
+            comma,
+            entering(self.a, True),
+            comma,
+            entering(self.b, True),
+            comma,
+            emerging(self.sums, True),
+        ]
+        if self.couts is not None:
+            cells += [comma, emerging(self.couts, False)]
+        newline = (np.full((t1 - t0, 1), ord("\n"), np.uint8), always)
+        cells += [comma, entering(self.wave_events, False), newline]
+        chars = np.hstack([c for c, _ in cells])
+        keep = np.hstack([k for _, k in cells])
+        return chars[keep].tobytes()
 
 
-# Words of slot values unpacked to bytes at a time for per-wave events.
-_UNPACK_WORDS = 64
+def _window(values, lo: int, hi: int) -> np.ndarray:
+    """``values[lo:hi]`` as uint64, with zeros where the range leaves
+    ``values``."""
+    out = np.zeros(hi - lo, dtype=np.uint64)
+    a, b = max(lo, 0), min(hi, len(values))
+    if a < b:
+        out[a - lo : b - lo] = values[a:b]
+    return out
+
+
+def _cells(values: np.ndarray, hex_digits: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Right-aligned digit columns of uint64 ``values``, in lowercase hex or
+    decimal, and the mask that keeps every digit but the leading zeros (the
+    last digit always stays)."""
+    top = int(values.max())
+    if hex_digits:
+        n = max(1, -(-top.bit_length() // 4))
+        shifts = 4 * np.arange(n - 1, -1, -1, dtype=np.uint64)
+        high = values[:, None] >> shifts
+        digits = high & np.uint64(15)
+    else:
+        n = len(str(top))
+        powers = np.uint64(10) ** np.arange(n - 1, -1, -1, dtype=np.uint64)
+        high = values[:, None] // powers
+        digits = high % np.uint64(10)
+    keep = high != 0
+    keep[:, -1] = True
+    return _DIGITS[digits], keep
+
+
+def _add_pairs(planes: np.ndarray) -> np.ndarray:
+    """Add rows ``2i`` and ``2i + 1`` of ``planes``: k bit planes (plane j
+    has weight 2**j) of m rows of words, as k-bit numbers, one per bit
+    position.  Returns k + 1 planes of ceil(m / 2) rows; an odd last row
+    passes through."""
+    k, m, n_words = planes.shape
+    h = m // 2
+    out = np.empty((k + 1, m - h, n_words), dtype=np.uint64)
+    x, y = planes[:, 0 : 2 * h : 2], planes[:, 1::2]
+    # Plane 0 takes no carry in; the planes above are full adders:
+    # s = x ^ y ^ c, c = x & y | c & (x ^ y).
+    carry = x[0] & y[0]
+    np.bitwise_xor(x[0], y[0], out=out[0, :h])
+    half = np.empty_like(carry)
+    both = np.empty_like(carry)
+    for j in range(1, k):
+        np.bitwise_xor(x[j], y[j], out=half)
+        np.bitwise_xor(half, carry, out=out[j, :h])
+        np.bitwise_and(carry, half, out=carry)
+        np.bitwise_and(x[j], y[j], out=both)
+        np.bitwise_or(carry, both, out=carry)
+    out[k, :h] = carry
+    if m % 2:
+        out[:k, h] = planes[:, -1]
+        out[k, h] = 0
+    return out
+
+
+def _wave_events(values: np.ndarray, n: int) -> np.ndarray:
+    """Ones per vector over all slot rows: a vertical population count.
+
+    Per block of ``_COUNT_WORDS`` words, a carry-save tree adds the slot
+    rows pairwise as numbers held in bit planes, halving the rows at each
+    level, until one row of ceil(log2(slots)) + 1 planes is left; each
+    plane is then unpacked and weighted by its power of two."""
+    counts = np.zeros(values.shape[1] * 64, dtype=np.int64)
+    if values.shape[0] == 0:
+        return counts[:n]
+    for w0 in range(0, values.shape[1], _COUNT_WORDS):
+        planes = values[None, :, w0 : w0 + _COUNT_WORDS]
+        while planes.shape[1] > 1:
+            planes = _add_pairs(planes)
+        rows = np.ascontiguousarray(planes[:, 0]).view(np.uint8)
+        bits = np.unpackbits(rows, axis=1, bitorder="little")
+        weights = np.left_shift(1, np.arange(len(bits), dtype=np.int64))
+        counts[w0 * 64 : w0 * 64 + bits.shape[1]] = weights @ bits
+    return counts[:n]
 
 
 def simulate_logic(netlist: Netlist, vectors) -> SimTrace:
@@ -97,12 +210,12 @@ def simulate_logic(netlist: Netlist, vectors) -> SimTrace:
         raise ValueError(f"netlist lacks adder port(s) {', '.join(missing)}")
 
     program = encode(netlist)
-    input_bits = {}
+    input_words = {}
     for i in range(netlist.width):
         shift = np.uint64(i)
-        input_bits[f"A{i}"] = ((a_vals >> shift) & np.uint64(1)).astype(np.uint8)
-        input_bits[f"B{i}"] = ((b_vals >> shift) & np.uint64(1)).astype(np.uint8)
-    values = engine.run_program(program, input_bits, n)
+        input_words[f"A{i}"] = engine.pack_bits((a_vals >> shift) & np.uint64(1))
+        input_words[f"B{i}"] = engine.pack_bits((b_vals >> shift) & np.uint64(1))
+    values = engine.run_program(program, input_words, n)
 
     sums = np.zeros(n, dtype=np.uint64)
     for i in range(netlist.width):
@@ -116,13 +229,7 @@ def simulate_logic(netlist: Netlist, vectors) -> SimTrace:
     slot_pops = np.bitwise_count(values).sum(axis=1, dtype=np.int64)
     gate_events = np.add.reduceat(slot_pops, program.gate_starts)
 
-    wave_events = np.zeros(n, dtype=np.int64)
-    for w0 in range(0, values.shape[1], _UNPACK_WORDS):
-        chunk = values[:, w0 : w0 + _UNPACK_WORDS]
-        bits = np.unpackbits(chunk.view(np.uint8), axis=1, bitorder="little")
-        lo = w0 * 64
-        hi = min(lo + bits.shape[1], n)
-        wave_events[lo:hi] = bits[:, : hi - lo].sum(axis=0, dtype=np.int64)
+    wave_events = _wave_events(values, n)
 
     offset = math.ceil(netlist.total_phases / 4)
     return SimTrace(

@@ -445,6 +445,12 @@ def _input_not_source(text, nl):
     return bad, "input A0: not a Source gate"
 
 
+def _shared_source(text, nl):
+    gid = nl.inputs["A0"]
+    bad = re.sub(r" A1:\d+", f" A1:{gid}", text, count=1)
+    return bad, f"input A1: Source gate {gid} is already input A0"
+
+
 def _output_pin(text, nl):
     gid = nl.outputs["S0"].gid
     return (
@@ -471,8 +477,8 @@ def _ptl_negative(text, nl):
 
 
 NETLIST_MUTATIONS = [
-    _dangling_fanin, _fanin_pin, _arity, _cycle, _input_not_source, _output_pin,
-    _ptl_missing, _ptl_negative,
+    _dangling_fanin, _fanin_pin, _arity, _cycle, _input_not_source, _shared_source,
+    _output_pin, _ptl_missing, _ptl_negative,
 ]
 
 
@@ -598,6 +604,28 @@ class TestPowerCmd:
     def test_missing_parameters(self, tmp_path):
         code, _ = run(tmp_path, "power", "--n", "815", "--f", "1GHz")
         assert code == 2
+
+    @pytest.mark.parametrize("ic", ["nan", "inf", "0.0"])
+    def test_bad_critical_current_names_the_line(
+        self, tmp_path, netlist_file, capsys, ic
+    ):
+        text = netlist_file.read_text()
+        bad_text = re.sub(r"^(gate \d+ AndOr .*? ic=)\S+", rf"\g<1>{ic}", text,
+                          count=1, flags=re.M)
+        assert bad_text != text
+        lineno = next(
+            k for k, (a, b) in enumerate(zip(text.splitlines(), bad_text.splitlines()), 1)
+            if a != b
+        )
+        bad = tmp_path / "bad.rqlnet"
+        bad.write_text(bad_text)
+        for argv in (["validate", str(bad)],
+                     ["power", "--netlist", str(bad), "--f", "10GHz"]):
+            code, _ = run(tmp_path, *argv)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"line {lineno}: bad gate record: AndOr: ic_avg must be positive" in err
+            assert "Traceback" not in err
 
 
 class TestSidebandsCmd:
