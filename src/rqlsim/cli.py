@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: gen, validate, sim, margins, power, sidebands, clocknet.
+Every command computes its whole result first and then reports it through
+``_report``, the only code that creates ``--out``, writes files there and
+prints, so an error found while computing leaves no ``--out`` behind.
 Every run writes a manifest of its arguments next to its outputs, and all
-outputs are deterministic functions of the manifest.
+outputs are deterministic functions of the manifest.  ``--format json``
+prints the object the command's summary file holds.
 
 Exit codes: 0 success, 1 check failure, 2 usage/parameter error, 3 I/O error.
 """
@@ -32,61 +36,53 @@ from .sim import (
 from .units import format_si, parse_frequency, parse_frequency_range
 
 
-def _out_dir(args) -> Path:
+def _report(
+    args, payload, table, *, files=(), summary=None, manifest=None, code=0
+) -> int:
+    """Write a finished command's outputs under ``--out`` and print it.
+
+    Each ``(name, writer)`` in ``files`` is called with ``out / name``;
+    ``summary`` names the file that holds ``payload`` as JSON, and
+    ``manifest`` adds keys to ``manifest.json``.  ``--format json`` prints
+    ``payload``, the table format prints ``table``.  Returns ``code``.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(args, out: Path, extra=None) -> None:
-    manifest = {
+    for name, write in files:
+        write(out / name)
+    payload_json = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    if summary:
+        (out / summary).write_text(payload_json + "\n")
+    record = {
         "subcommand": args.command,
         "arguments": {
             k: v for k, v in sorted(vars(args).items()) if k != "func"
         },
+        **(manifest or {}),
     }
-    if extra:
-        manifest.update(extra)
     (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
+        json.dumps(record, indent=2, sort_keys=True, default=str) + "\n"
     )
-
-
-def _emit(args, payload: dict, table: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    else:
-        print(table)
-
-
-def _load_netlist(path) -> Netlist:
-    return Netlist.load(path)
-
-
-def _gate_table(args):
-    if getattr(args, "config", None):
-        return load_gate_table(args.config)
-    return None
+    print(payload_json if args.format == "json" else table)
+    return code
 
 
 def cmd_gen(args) -> int:
+    f = parse_frequency(args.clock)
     netlist = adder.build_kogge_stone(
         args.width,
         idle_phases=args.idle,
         idle_position=args.idle_position,
         chip_mode=args.chip_mode,
         max_fanout=args.max_fanout,
-        gate_table=_gate_table(args),
+        gate_table=load_gate_table(args.config) if args.config else None,
         ptl_length_um=args.ptl_um,
     )
-    out = _out_dir(args)
-    path = out / f"adder{args.width}.rqlnet"
-    netlist.save(path)
     stats = netlist_stats(netlist)
-    f = parse_frequency(args.clock)
     lat = adder.latency(netlist, f)
+    name = f"adder{args.width}.rqlnet"
     payload = {
-        "netlist": path.name,
+        "netlist": name,
         "width": args.width,
         "phases": lat.phases,
         "cycles": lat.cycles,
@@ -97,37 +93,30 @@ def cmd_gen(args) -> int:
         "per_line_ic_ua": stats.per_line_ic_ua,
         "gate_counts": stats.gate_counts,
     }
-    (out / "gen_stats.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    _write_manifest(args, out)
     table = (
-        f"{args.width}-bit adder -> {path}\n"
+        f"{args.width}-bit adder -> {Path(args.out, name)}\n"
         f"phases {lat.phases}  cycles {lat.cycles:g}  "
         f"latency {lat.latency_ps:g} ps at {format_si(f, 'Hz')}\n"
         f"junctions {stats.jj_total}  ic_avg {stats.ic_avg_ua:g} uA"
     )
-    _emit(args, payload, table)
-    return 0
+    return _report(
+        args, payload, table, files=[(name, netlist.save)], summary="gen_stats.json"
+    )
 
 
 def cmd_validate(args) -> int:
-    netlist = _load_netlist(args.netlist)
+    netlist = Netlist.load(args.netlist)
     diags = validate(netlist, max_fanout=args.max_fanout) + [
         f"port {name}: missing from the I/O header"
         for name in missing_ports(netlist)
     ]
-    out = _out_dir(args)
-    (out / "validate.json").write_text(
-        json.dumps({"diagnostics": diags}, indent=2) + "\n"
+    return _report(
+        args,
+        {"diagnostics": diags},
+        "\n".join(diags) or "netlist clean",
+        summary="validate.json",
+        code=1 if diags else 0,
     )
-    _write_manifest(args, out)
-    if diags:
-        for d in diags:
-            print(d)
-        return 1
-    print("netlist clean")
-    return 0
 
 
 def _sim_vectors(args, netlist) -> tuple[np.ndarray, np.ndarray]:
@@ -180,15 +169,13 @@ def _sim_vectors(args, netlist) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_sim(args) -> int:
-    netlist = _load_netlist(args.netlist)
+    netlist = Netlist.load(args.netlist)
     vectors = _sim_vectors(args, netlist)
     if args.timed:
         clock = ClockConfig(parse_frequency(args.clock), args.bias)
         trace = simulate_timed(netlist, clock, vectors)
     else:
         trace = simulate_logic(netlist, vectors)
-    out = _out_dir(args)
-    trace.to_csv(out / "trace.csv")
 
     failures = 0
     if args.check:
@@ -210,10 +197,6 @@ def cmd_sim(args) -> int:
             for v in trace.violations
         ],
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    _write_manifest(args, out)
     table = (
         f"{trace.n_vectors} vectors, {trace.total_events} switching events"
         + (
@@ -227,16 +210,19 @@ def cmd_sim(args) -> int:
             else ""
         )
     )
-    _emit(args, summary, table)
-    if args.check and failures:
-        return 1
-    if args.timed and trace.violations and args.check:
-        return 1
-    return 0
+    failed = args.check and (failures or (args.timed and trace.violations))
+    return _report(
+        args,
+        summary,
+        table,
+        files=[("trace.csv", trace.to_csv)],
+        summary="summary.json",
+        code=1 if failed else 0,
+    )
 
 
 def cmd_margins(args) -> int:
-    netlist = _load_netlist(args.netlist)
+    netlist = Netlist.load(args.netlist)
     f_lo = parse_frequency(args.fmin)
     f_hi = parse_frequency(args.fmax)
     freqs = np.linspace(f_lo, f_hi, args.steps)
@@ -244,9 +230,6 @@ def cmd_margins(args) -> int:
     if args.calibrate:
         ceiling = calibrate_overbias(netlist, parse_frequency(args.calibrate_at))
     curve = margin_sweep(netlist, freqs, ceiling=ceiling)
-    out = _out_dir(args)
-    curve.to_csv(out / "margins.csv")
-    _write_manifest(args, out, {"ceiling": ceiling})
     rows = [
         {
             "frequency_hz": p.frequency_hz,
@@ -262,8 +245,13 @@ def cmd_margins(args) -> int:
             f"{format_si(p.frequency_hz, 'Hz'):<14} {p.lower_db:8.3f}  "
             f"{p.upper_db:8.3f}  {p.width_db:8.3f}"
         )
-    _emit(args, {"points": rows, "ceiling": ceiling}, "\n".join(table_lines))
-    return 0
+    return _report(
+        args,
+        {"points": rows, "ceiling": ceiling},
+        "\n".join(table_lines),
+        files=[("margins.csv", curve.to_csv)],
+        manifest={"ceiling": ceiling},
+    )
 
 
 def cmd_power(args) -> int:
@@ -277,7 +265,7 @@ def cmd_power(args) -> int:
     elif args.netlist:
         if args.f is None:
             raise ValueError("--f is required with --netlist")
-        stats = netlist_stats(_load_netlist(args.netlist))
+        stats = netlist_stats(Netlist.load(args.netlist))
         n = stats.jj_total
         ic = (stats.ic_avg_ua or 0.0) * 1e-6
         f = parse_frequency(args.f)
@@ -313,13 +301,7 @@ def cmd_power(args) -> int:
             f"\ntiming spread        {budget.timing_spread_ps:.2f} ps over "
             f"+/-{args.margin:.0%} bias"
         )
-    out = _out_dir(args)
-    (out / "power.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    _write_manifest(args, out)
-    _emit(args, payload, table)
-    return 0
+    return _report(args, payload, table, summary="power.json")
 
 
 def cmd_sidebands(args) -> int:
@@ -340,7 +322,7 @@ def cmd_sidebands(args) -> int:
                 )
         fractions = {"cla_core": args.cla_frac}
     else:
-        if args.q is None or args.i is None:
+        if None in (args.q, args.i, args.p0q, args.p0i):
             raise ValueError(
                 "give --measurements, --spectrum-q/--spectrum-i, or --q/--i "
                 "with --p0q/--p0i"
@@ -365,9 +347,6 @@ def cmd_sidebands(args) -> int:
             "f_mod_hz": next(iter(lines.values())).f_mod_hz,
         },
     )
-    out = _out_dir(args)
-    (out / "sidebands.json").write_text(report.to_json() + "\n")
-    _write_manifest(args, out)
     table_lines = []
     for name, m in lines.items():
         up, _ = sidebands.ssb_power_upper_bound(m)
@@ -379,8 +358,9 @@ def cmd_sidebands(args) -> int:
     table_lines.append(f"total dissipation: {format_si(report.p_total_w, 'W')}")
     for region, p in report.per_region_w.items():
         table_lines.append(f"  {region}: {format_si(p, 'W')}")
-    _emit(args, report.to_dict(), "\n".join(table_lines))
-    return 0
+    return _report(
+        args, report.to_dict(), "\n".join(table_lines), summary="sidebands.json"
+    )
 
 
 def cmd_clocknet(args) -> int:
@@ -396,9 +376,6 @@ def cmd_clocknet(args) -> int:
     freqs = np.linspace(f_lo, f_hi, args.points)
     s = clocknet.cascade_sparams(design, freqs)
     rl = clocknet.return_loss_db(s[:, 0])
-    out = _out_dir(args)
-    design.to_csv(out / "transformer.csv")
-    clocknet.sweep_to_csv(design, freqs, out / "sparams.csv")
 
     good = rl >= args.rl_target
     band = None
@@ -412,7 +389,6 @@ def cmd_clocknet(args) -> int:
         "rl_target_db": args.rl_target,
         "band_meeting_target_hz": band,
     }
-    _write_manifest(args, out)
     table = "sections: " + ", ".join(
         f"{z:.2f}" for z in design.section_impedances
     )
@@ -421,8 +397,15 @@ def cmd_clocknet(args) -> int:
             f"\nreturn loss >= {args.rl_target:g} dB over "
             f"{format_si(band[0], 'Hz')} - {format_si(band[1], 'Hz')}"
         )
-    _emit(args, payload, table)
-    return 0
+    return _report(
+        args,
+        payload,
+        table,
+        files=[
+            ("transformer.csv", design.to_csv),
+            ("sparams.csv", lambda path: clocknet.sweep_to_csv(design, freqs, path)),
+        ],
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -113,8 +113,11 @@ def design_transformer(
     achievable ripple checked against the target, raising MatchDesignError
     if the combination cannot be met.
     """
-    if z_source <= 0 or z_load <= 0 or z_source == z_load:
-        raise ValueError("source and load impedances must be positive and differ")
+    if not (0 < z_source < math.inf and 0 < z_load < math.inf) or z_source == z_load:
+        raise ValueError(
+            "source and load impedances must be finite, positive and differ, "
+            f"got {z_source!r} and {z_load!r}"
+        )
     if n_sections < 1:
         raise ValueError("need at least one section")
     if f_center_hz <= 0:
@@ -125,8 +128,8 @@ def design_transformer(
         gammas = _binomial_gammas(n_sections, ln_ratio)
         ripple, fbw = None, None
     elif kind == "chebyshev":
-        if ripple_db >= 0:
-            raise ValueError("ripple must be negative dB")
+        if not ripple_db < 0:
+            raise ValueError(f"ripple must be negative dB, got {ripple_db!r}")
         gamma_m = 10.0 ** (ripple_db / 20.0)
         if band_hz is not None:
             f_lo, f_hi = band_hz

@@ -30,8 +30,15 @@ CRYOCOOLER_OVERHEAD_W_PER_W = 1000.0
 
 def dynamic_power(ic_avg_a: float, n_junctions: float, frequency_hz: float) -> float:
     """Fully-active dynamic dissipation in watts (Ic in amps)."""
-    if ic_avg_a < 0 or n_junctions < 0 or frequency_hz < 0:
-        raise ValueError("power model arguments must be non-negative")
+    for name, value in (
+        ("ic_avg_a", ic_avg_a),
+        ("n_junctions", n_junctions),
+        ("frequency_hz", frequency_hz),
+    ):
+        if not 0 <= value < math.inf:
+            raise ValueError(
+                f"power model: {name} must be finite and >= 0, got {value!r}"
+            )
     return DYNAMIC_PREFACTOR * ic_avg_a * PHI0_VS * n_junctions * frequency_hz
 
 
@@ -128,12 +135,14 @@ class ScalingScenario:
     seq_junctions_per_phase: int = 8
 
     def __post_init__(self):
-        if min(self.n_devices, self.ic_avg_a, self.frequency_hz) <= 0:
-            raise ValueError("scenario parameters must be positive")
+        for name in ("n_devices", "ic_avg_a", "frequency_hz", "line_impedance_ohm"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"scenario {name} must be finite and > 0, got {value!r}"
+                )
         if not 0.0 < self.margin_frac < 1.0:
             raise ValueError("margin_frac must be in (0, 1)")
-        if self.line_impedance_ohm <= 0:
-            raise ValueError("line impedance must be positive")
 
 
 @dataclass

@@ -34,8 +34,12 @@ class SidebandMeasurement:
     f_mod_hz: float
 
     def __post_init__(self):
-        if self.ssb_db >= 0:
-            raise ValueError("SSB ratio must be negative (below the carrier)")
+        if not self.ssb_db < 0:
+            raise ValueError(
+                f"SSB ratio must be negative (below the carrier), got {self.ssb_db!r}"
+            )
+        if not math.isfinite(self.p0_dbm):
+            raise ValueError(f"carrier power must be finite, got {self.p0_dbm!r} dBm")
         if not 0 < self.f_mod_hz < self.f_carrier_hz:
             raise ValueError("modulation must sit below the carrier frequency")
 

@@ -17,20 +17,20 @@ _FREQ_RE = re.compile(r"^\s*([0-9.eE+-]+)\s*([a-zA-Z]*)\s*$")
 
 
 def parse_frequency(text) -> float:
-    """'10GHz', '259 kHz', '6.21e9' ... -> Hz."""
+    """'10GHz', '259 kHz', '6.21e9' ... -> Hz, finite and > 0."""
     if isinstance(text, (int, float)):
-        return float(text)
-    m = _FREQ_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse frequency {text!r}")
-    value = float(m.group(1))
-    suffix = m.group(2).lower()
-    if suffix == "":
-        return value
-    try:
-        return value * _FREQ_SUFFIX[suffix]
-    except KeyError:
-        raise ValueError(f"unknown frequency unit {m.group(2)!r}") from None
+        value = float(text)
+    else:
+        m = _FREQ_RE.match(text)
+        if not m:
+            raise ValueError(f"cannot parse frequency {text!r}")
+        try:
+            value = float(m.group(1)) * _FREQ_SUFFIX[m.group(2).lower() or "hz"]
+        except KeyError:
+            raise ValueError(f"unknown frequency unit {m.group(2)!r}") from None
+    if not 0 < value < math.inf:
+        raise ValueError(f"frequency {text!r} must be finite and > 0")
+    return value
 
 
 def parse_frequency_range(text) -> tuple[float, float]:
@@ -80,6 +80,8 @@ def format_si(value: float, unit: str, digits: int = 3) -> str:
     """Engineering formatting: 5.6e-7, 'W' -> '560 nW'."""
     if value == 0:
         return f"0 {unit}"
+    if not math.isfinite(value):
+        return f"{value} {unit}"
     exp = int(math.floor(math.log10(abs(value)) / 3.0) * 3)
     exp = max(-15, min(12, exp))
     prefixes = {

@@ -13,6 +13,17 @@ def run(tmp_path, *argv):
     return main(["--out", str(out), *argv]), out
 
 
+def assert_usage_error(tmp_path, capsys, argv, message):
+    """``argv`` exits 2 with one ``rqlsim:`` line holding ``message`` on
+    stderr, and writes nothing: not even the ``--out`` directory."""
+    code, out = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("rqlsim: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 class TestGen:
     def test_default_chip_report(self, tmp_path, capsys):
         code, out = run(
@@ -628,6 +639,29 @@ class TestPowerCmd:
             assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "inf", "--ic", "162e-6", "--f", "1GHz"],
+             "n_junctions must be finite and >= 0, got inf"),
+            (["--n", "815", "--ic", "nan", "--f", "1GHz"],
+             "ic_avg_a must be finite and >= 0, got nan"),
+            (["--n", "815", "--ic", "162e-6", "--f", "1GHz", "--budget", "--z", "nan"],
+             "line_impedance_ohm must be finite and > 0, got nan"),
+        ],
+        ids=["n-inf", "ic-nan", "z-nan"],
+    )
+    def test_non_finite_argument_is_named(self, tmp_path, capsys, argv, message):
+        assert_usage_error(tmp_path, capsys, ["power", *argv], message)
+
+    def test_overflowing_power_prints_inf(self, tmp_path, capsys):
+        code, _ = run(
+            tmp_path, "power", "--n", "1e308", "--ic", "1e308", "--f", "1GHz"
+        )
+        assert code == 0
+        assert "= inf W" in capsys.readouterr().out
+
+
 class TestSidebandsCmd:
     def test_measurement_chain(self, tmp_path, capsys):
         code, out = run(
@@ -655,6 +689,20 @@ class TestSidebandsCmd:
         assert code == 0
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--q", "nan", "--p0q", "-2.0"], "SSB ratio must be negative"),
+            (["--q", "-69.3", "--p0q", "nan"], "carrier power must be finite"),
+            (["--q", "-69.3"], "or --q/--i with --p0q/--p0i"),
+        ],
+        ids=["q-nan", "p0q-nan", "p0-missing"],
+    )
+    def test_bad_line_is_usage_error(self, tmp_path, capsys, argv, message):
+        other = ["--i", "-79.3", "--p0i", "-2.4"]
+        assert_usage_error(tmp_path, capsys, ["sidebands", *argv, *other], message)
+
+
 class TestClocknetCmd:
     def test_band_meets_target(self, tmp_path, capsys):
         code, out = run(
@@ -678,6 +726,19 @@ class TestClocknetCmd:
         payload = json.loads(capsys.readouterr().out)
         band = payload["band_meeting_target_hz"]
         assert band[0] <= 5.1e9 and band[1] >= 9.9e9
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--ripple", "nan"], "ripple must be negative dB, got nan"),
+            (["--zs", "nan"], "got nan and 4.0"),
+            (["--zl", "inf"], "got 50.0 and inf"),
+        ],
+        ids=["ripple-nan", "zs-nan", "zl-inf"],
+    )
+    def test_non_finite_design_is_usage_error(self, tmp_path, capsys, argv, message):
+        assert_usage_error(tmp_path, capsys, ["clocknet", *argv], message)
 
 
 class TestScenarioAndSpectrumInputs:
@@ -713,3 +774,77 @@ class TestScenarioAndSpectrumInputs:
         assert code == 0
         payload = json.loads((out / "sidebands.json").read_text())
         assert abs(payload["p_total_w"] - 1.25e-6) / 1.25e-6 < 0.02
+
+
+class TestReport:
+    """Every command computes first and then reports: ``--format json``
+    prints the summary file's object, and an error writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, summary",
+        [
+            (["gen", "--width", "4"], "gen_stats.json"),
+            (["validate", "NETLIST"], "validate.json"),
+            (["sim", "--netlist", "NETLIST", "--exhaustive", "--check"], "summary.json"),
+            (["margins", "--netlist", "NETLIST", "--steps", "3"], None),
+            (["power", "--n", "815", "--ic", "162e-6", "--f", "6.21e9"], "power.json"),
+            (["sidebands", "--q", "-69.3", "--i", "-79.3", "--p0q", "-2.0",
+              "--p0i", "-2.4"], "sidebands.json"),
+            (["clocknet", "--points", "21"], None),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_json_stdout_is_the_summary(
+        self, tmp_path, netlist_file, capsys, argv, summary
+    ):
+        argv = [str(netlist_file) if a == "NETLIST" else a for a in argv]
+        code, out = run(tmp_path, "--format", "json", *argv)
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert isinstance(printed, dict)
+        if summary:
+            assert printed == json.loads((out / summary).read_text())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--clock", "0"], "frequency '0' must be finite and > 0"),
+            (["sim", "--netlist", "NETLIST", "--prbs", "0x1", "--cycles", "0"],
+             "--cycles must be positive, got 0"),
+            (["margins", "--netlist", "NETLIST", "--ceiling", "0"],
+             "ceiling must be > 0"),
+        ],
+        ids=["gen", "sim", "margins"],
+    )
+    def test_usage_error_leaves_no_out(
+        self, tmp_path, netlist_file, capsys, argv, message
+    ):
+        argv = [str(netlist_file) if a == "NETLIST" else a for a in argv]
+        assert_usage_error(tmp_path, capsys, argv, message)
+
+    @pytest.mark.parametrize("value", ["1e999", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--clock", "{}"],
+            ["sim", "--netlist", "NETLIST", "--prbs", "0x1", "--timed", "--clock", "{}"],
+            ["margins", "--netlist", "NETLIST", "--fmin", "{}"],
+            ["margins", "--netlist", "NETLIST", "--fmax", "{}"],
+            ["margins", "--netlist", "NETLIST", "--calibrate", "--calibrate-at", "{}"],
+            ["power", "--n", "815", "--ic", "162e-6", "--f", "{}"],
+            ["sidebands", "--q", "-69.3", "--i", "-79.3", "--p0q", "-2.0",
+             "--p0i", "-2.4", "--f-clock", "{}"],
+            ["clocknet", "--f0", "{}"],
+            ["clocknet", "--sweep", "1:{}"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_frequency_must_be_finite_and_positive(
+        self, tmp_path, netlist_file, capsys, argv, value
+    ):
+        argv = [
+            str(netlist_file) if a == "NETLIST" else a.format(value) for a in argv
+        ]
+        assert_usage_error(
+            tmp_path, capsys, argv, f"frequency '{value}' must be finite and > 0"
+        )

@@ -1,9 +1,12 @@
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqlsim import build_kogge_stone
+from rqlsim.cli import main
 from rqlsim.gates import DEFAULT_GATE_TABLE, GateKind
 from rqlsim.netlist import Gate, Netlist, Pin, defects, netlist_stats, validate
 from rqlsim.sim.encode import encode
@@ -229,6 +232,31 @@ class TestRulesUnderMutation:
             assert defects(nl) and str(exc) == defects(nl)[0]
         else:
             assert defects(nl) == []
+
+    CLI_RUNS = [
+        ["validate", "NETLIST"],
+        ["sim", "--netlist", "NETLIST", "--exhaustive", "--check"],
+        ["sim", "--netlist", "NETLIST", "--prbs", "0x1", "--cycles", "8", "--timed"],
+        ["margins", "--netlist", "NETLIST", "--steps", "3"],
+        ["power", "--netlist", "NETLIST", "--f", "10GHz"],
+    ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(_mutant_text())
+    def test_cli_exits_cleanly_on_loaded_mutants(self, text):
+        try:
+            Netlist.loads(text)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "mutant.rqlnet")
+            path.write_text(text)
+            for k, argv in enumerate(self.CLI_RUNS):
+                out = Path(tmp, f"out{k}")
+                argv = [str(path) if a == "NETLIST" else a for a in argv]
+                code = main(["--out", str(out), *argv])
+                assert code in (0, 1, 2)
+                assert code != 2 or not out.exists()
 
 
 class TestStats:
