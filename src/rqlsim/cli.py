@@ -364,6 +364,8 @@ def cmd_sidebands(args) -> int:
 
 
 def cmd_clocknet(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     design = clocknet.design_transformer(
         args.zs,
         args.zl,

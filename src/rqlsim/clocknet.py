@@ -27,6 +27,10 @@ class MatchDesignError(ValueError):
         self.achievable_ripple_db = achievable_ripple_db
 
 
+# Largest |ln Z_N + 2 G_N - ln z_load| / |ln(z_load / z_source)| accepted.
+_CLOSURE_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class TransformerDesign:
     z_source: float
@@ -123,40 +127,22 @@ def design_transformer(
     if f_center_hz <= 0:
         raise ValueError("center frequency must be positive")
     ln_ratio = math.log(z_load / z_source)
-
-    if kind == "binomial":
-        gammas = _binomial_gammas(n_sections, ln_ratio)
-        ripple, fbw = None, None
-    elif kind == "chebyshev":
-        if not ripple_db < 0:
-            raise ValueError(f"ripple must be negative dB, got {ripple_db!r}")
-        gamma_m = 10.0 ** (ripple_db / 20.0)
-        if band_hz is not None:
-            f_lo, f_hi = band_hz
-            if not 0 < f_lo < f_center_hz < f_hi:
-                raise ValueError("band must straddle the center frequency")
-            theta_m = math.pi / 2.0 * (f_lo / f_center_hz)
-            sec_tm = 1.0 / math.cos(theta_m)
-            achievable = abs(ln_ratio) / (2.0 * _coshN(n_sections, sec_tm))
-            if achievable > gamma_m:
-                ach_db = 20.0 * math.log10(achievable)
-                raise MatchDesignError(
-                    f"{n_sections} sections reach only {ach_db:.1f} dB ripple "
-                    f"over {f_lo / 1e9:.3g}-{f_hi / 1e9:.3g} GHz",
-                    ach_db,
-                )
-            gamma_m = achievable
-        else:
-            sec_tm = _acoshT(n_sections, abs(ln_ratio) / (2.0 * gamma_m))
-        gammas = _chebyshev_gammas(n_sections, ln_ratio, sec_tm)
-        ripple = 20.0 * math.log10(
-            abs(ln_ratio) / (2.0 * _coshN(n_sections, sec_tm))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gammas, ripple, fbw = _gammas(
+                kind, n_sections, ln_ratio, ripple_db, band_hz, f_center_hz
+            )
+    except OverflowError:
+        gammas = [math.inf]
+    # The ladder must end at the load: ln Z_N + 2 G_N = ln z_load.  The
+    # cosine expansion loses that in float arithmetic past about 30
+    # Chebyshev sections, and 2**N overflows past 1023 binomial ones; this
+    # check, not numpy's overflow warnings, reports either.
+    if not abs(2.0 * sum(gammas) - ln_ratio) <= _CLOSURE_TOL * abs(ln_ratio):
+        raise ValueError(
+            f"{n_sections} {kind} sections cannot be synthesized in double "
+            "precision; use fewer sections"
         )
-        theta_m = math.acos(min(1.0, 1.0 / sec_tm))
-        fbw = 2.0 - 4.0 * theta_m / math.pi
-    else:
-        raise ValueError(f"unknown design kind {kind!r}")
-
     ln_z = math.log(z_source)
     zs = []
     for g in gammas[:-1]:
@@ -171,6 +157,38 @@ def design_transformer(
         ripple,
         fbw,
     )
+
+
+def _gammas(kind, n_sections, ln_ratio, ripple_db, band_hz, f_center_hz):
+    """Section reflection coefficients G_0..G_N of a design, with its
+    in-band ripple and fractional bandwidth (None for binomial)."""
+    if kind == "binomial":
+        return _binomial_gammas(n_sections, ln_ratio), None, None
+    if kind != "chebyshev":
+        raise ValueError(f"unknown design kind {kind!r}")
+    if not ripple_db < 0:
+        raise ValueError(f"ripple must be negative dB, got {ripple_db!r}")
+    gamma_m = 10.0 ** (ripple_db / 20.0)
+    if band_hz is not None:
+        f_lo, f_hi = band_hz
+        if not 0 < f_lo < f_center_hz < f_hi:
+            raise ValueError("band must straddle the center frequency")
+        theta_m = math.pi / 2.0 * (f_lo / f_center_hz)
+        sec_tm = 1.0 / math.cos(theta_m)
+        achievable = abs(ln_ratio) / (2.0 * _coshN(n_sections, sec_tm))
+        if achievable > gamma_m:
+            ach_db = 20.0 * math.log10(achievable)
+            raise MatchDesignError(
+                f"{n_sections} sections reach only {ach_db:.1f} dB ripple "
+                f"over {f_lo / 1e9:.3g}-{f_hi / 1e9:.3g} GHz",
+                ach_db,
+            )
+    else:
+        sec_tm = _acoshT(n_sections, abs(ln_ratio) / (2.0 * gamma_m))
+    gammas = _chebyshev_gammas(n_sections, ln_ratio, sec_tm)
+    ripple = 20.0 * math.log10(abs(ln_ratio) / (2.0 * _coshN(n_sections, sec_tm)))
+    theta_m = math.acos(min(1.0, 1.0 / sec_tm))
+    return gammas, ripple, 2.0 - 4.0 * theta_m / math.pi
 
 
 def cascade_sparams(design: TransformerDesign, frequencies_hz) -> np.ndarray:

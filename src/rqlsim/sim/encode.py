@@ -2,12 +2,15 @@
 
 Every gate output pin becomes one value slot; slots are ordered topologically
 so a single forward pass evaluates the whole DAG.  Values are uint64 words
-holding 64 input vectors each.
+holding 64 input vectors each.  ``groups`` is the levelized schedule of that
+pass: the non-input slots grouped by (logic level, op), each group's sources
+lying at lower levels, so one group is one vector op over all its slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +34,35 @@ class Program:
     output_slots: dict[str, int]  # primary output name -> slot
     gate_ids: np.ndarray  # gates with output pins, in slot order
     gate_starts: np.ndarray  # first slot of each of those gates
+
+    @cached_property
+    def groups(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """``(op, destination slots, src_a, src_b)`` per (logic level, op),
+        in level order; built on first use, which keeps it out of
+        ``encode``.
+
+        An input sits at level 0 and any other slot one above its deepest
+        source.  The levels are a fixpoint over all slots at once, one
+        vectorized pass per level; a buffer's ``src_b`` is a placeholder
+        and does not count."""
+        todo = np.flatnonzero(self.ops != OP_INPUT)
+        op = self.ops[todo]
+        a = self.src_a[todo]
+        b = np.where(op == OP_BUF, a, self.src_b[todo])
+        level = np.zeros(self.n_slots, dtype=np.int64)
+        while True:
+            new = np.maximum(level[a], level[b]) + 1
+            if np.array_equal(new, level[todo]):
+                break
+            level[todo] = new
+        key = level[todo] * 8 + op
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        return [
+            (int(op[run[0]]), todo[run], a[run], b[run])
+            for run in np.split(order, cuts)
+            if len(run)
+        ]
 
 
 @per_netlist

@@ -1,17 +1,38 @@
 """The word-level evaluation kernel and its entry point.
 
-Stimuli travel packed: ``pack_bits`` turns one input's bit per vector into
-uint64 words, vector i at bit i % 64 of word i // 64.  ``run_program`` takes
-those words per input name and returns the full slot/word value matrix;
-``_eval_words`` evaluates the slots with numpy bitwise ops row by row over
-the word axis.
+Stimuli travel packed: vector i sits at bit i % 64 of word i // 64.
+``transpose64`` turns 64 operand values into 64 such words, one per operand
+bit, and back.  ``run_program`` takes the words per input name and returns
+the full slot/word value matrix; ``_eval_groups`` evaluates it in blocks of
+``_BLOCK_WORDS`` words, one numpy op per group of the levelized schedule
+``encode`` builds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .encode import OP_AND, OP_ANDNOT, OP_BUF, OP_INPUT, OP_OR, Program
+from .encode import OP_AND, OP_ANDNOT, OP_OR, Program
+
+# Words evaluated at a time.  On the 64-bit adder (2854 slots) at 120k
+# vectors, blocks of 128 / 256 / 512 / 1024 words and the whole matrix took
+# a median 37 / 26 / 23 / 27 / 37 ms: small blocks pay numpy's per-call
+# cost once more per group, large ones leave the cache.
+_BLOCK_WORDS = 512
+
+# Round j of the 64 x 64 bit transpose swaps bit j of the row index with bit
+# j of the column index; the mask keeps the columns whose bit j is clear.
+_TRANSPOSE_ROUNDS = [
+    (j, np.uint64(mask))
+    for j, mask in (
+        (32, 0x00000000FFFFFFFF),
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )
+]
 
 
 def backend_name() -> str:
@@ -21,35 +42,36 @@ def backend_name() -> str:
     return "python"
 
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Bool/0-1 array of length n -> uint64 words, vector i at bit i%64."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    pad = (-len(packed)) % 8
-    if pad:
-        packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-    return packed.view(np.uint64)
+def transpose64(blocks: np.ndarray) -> None:
+    """Transpose, in place, each 64 x 64 bit matrix of a C-contiguous
+    ``(m, 64)`` uint64 array: bit c of ``blocks[k, r]`` and bit r of
+    ``blocks[k, c]`` trade places.  Six masked shift/xor rounds (Hacker's
+    Delight, section 7-3); a round's temporary is half the array."""
+    m = blocks.shape[0]
+    for j, mask in _TRANSPOSE_ROUNDS:
+        pairs = blocks.reshape(m, 32 // j, 2, j)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        shift = np.uint64(j)
+        t = lo >> shift
+        t ^= hi
+        t &= mask
+        hi ^= t
+        t <<= shift
+        lo ^= t
 
 
-def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of pack_bits, trimmed to n entries."""
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
-
-
-def _eval_words(ops, src_a, src_b, values: np.ndarray) -> None:
-    for s in range(values.shape[0]):
-        op = ops[s]
-        if op == OP_INPUT:
-            continue
-        a = values[src_a[s]]
-        b = values[src_b[s]]
-        if op == OP_OR:
-            np.bitwise_or(a, b, out=values[s])
-        elif op == OP_AND:
-            np.bitwise_and(a, b, out=values[s])
-        elif op == OP_ANDNOT:
-            np.bitwise_and(a, np.bitwise_not(b), out=values[s])
-        elif op == OP_BUF:
-            values[s][:] = a
+def _eval_groups(groups, values: np.ndarray) -> None:
+    for w0 in range(0, values.shape[1], _BLOCK_WORDS):
+        block = values[:, w0 : w0 + _BLOCK_WORDS]
+        for op, dst, a, b in groups:
+            x = block[a]
+            if op == OP_OR:
+                x |= block[b]
+            elif op == OP_AND:
+                x &= block[b]
+            elif op == OP_ANDNOT:
+                x &= ~block[b]
+            block[dst] = x  # OP_BUF copies its source
 
 
 def run_program(
@@ -59,10 +81,10 @@ def run_program(
 ) -> np.ndarray:
     """Evaluate all slots for ``n_vectors`` stimuli.
 
-    ``input_words`` maps primary input names to their stimulus as
-    ``pack_bits`` packs it: ``ceil(n_vectors / 64)`` uint64 words.  Returns
-    the (n_slots, n_words) uint64 value matrix; tail bits of the last word
-    beyond ``n_vectors`` are zero.
+    ``input_words`` maps primary input names to their packed stimulus:
+    ``ceil(n_vectors / 64)`` uint64 words.  Returns the (n_slots, n_words)
+    uint64 value matrix; tail bits of the last word beyond ``n_vectors``
+    are zero.
     """
     n_words = (n_vectors + 63) // 64
     values = np.zeros((program.n_slots, n_words), dtype=np.uint64)
@@ -74,7 +96,7 @@ def run_program(
         if len(words) != n_words:
             raise ValueError(f"stimulus {name!r} has wrong length")
         values[slot] = words
-    _eval_words(program.ops, program.src_a, program.src_b, values)
+    _eval_groups(program.groups, values)
     # Mask tail bits so popcounts see only real vectors.
     tail = n_vectors % 64
     if tail:

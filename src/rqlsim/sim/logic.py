@@ -5,10 +5,12 @@ values are those of plain combinational evaluation, offset by the pipeline
 depth in cycles.  Switching events are counted per gate output pin asserting
 a logical one, since only ones dissipate power.
 
-``simulate_logic`` packs each operand bit into words (``engine.pack_bits``)
-and hands them to ``engine.run_program``.  From the slot/word value matrix
-it counts events per gate with one popcount ``reduceat``, and per wave with
-a carry-save adder tree over bit planes (a vertical population count, see
+``simulate_logic`` packs the operands with one 64 x 64 bit transpose per 64
+vectors (``engine.transpose64``), so column i of the result holds bit i of
+every operand as words, and hands those to ``engine.run_program``.  It reads
+the sums back from the slot/word value matrix with the same transpose,
+counts events per gate with one popcount ``reduceat``, and per wave with a
+carry-save adder tree over bit planes (a vertical population count, see
 ``_wave_events``).
 """
 
@@ -189,6 +191,15 @@ def _wave_events(values: np.ndarray, n: int) -> np.ndarray:
     return counts[:n]
 
 
+def _bit_rows(vals: np.ndarray, n_words: int) -> np.ndarray:
+    """Operand values -> ``(n_words, 64)`` uint64 whose column i holds bit i
+    of every value, packed: one bit transpose per 64 values."""
+    rows = np.zeros((n_words, 64), dtype=np.uint64)
+    rows.reshape(-1)[: len(vals)] = vals
+    engine.transpose64(rows)
+    return rows
+
+
 def simulate_logic(netlist: Netlist, vectors) -> SimTrace:
     """Run operand vectors through the netlist.
 
@@ -210,20 +221,25 @@ def simulate_logic(netlist: Netlist, vectors) -> SimTrace:
         raise ValueError(f"netlist lacks adder port(s) {', '.join(missing)}")
 
     program = encode(netlist)
+    n_words = -(-n // 64)
+    a_rows, b_rows = (_bit_rows(v, n_words) for v in (a_vals, b_vals))
+    # uint64 operands have no bit 64 and up: a wider netlist gets zeros there.
+    no_bit = np.zeros(n_words, dtype=np.uint64)
     input_words = {}
     for i in range(netlist.width):
-        shift = np.uint64(i)
-        input_words[f"A{i}"] = engine.pack_bits((a_vals >> shift) & np.uint64(1))
-        input_words[f"B{i}"] = engine.pack_bits((b_vals >> shift) & np.uint64(1))
+        input_words[f"A{i}"] = a_rows[:, i] if i < 64 else no_bit
+        input_words[f"B{i}"] = b_rows[:, i] if i < 64 else no_bit
     values = engine.run_program(program, input_words, n)
 
-    sums = np.zeros(n, dtype=np.uint64)
-    for i in range(netlist.width):
-        slot = program.output_slots[f"S{i}"]
-        sums |= engine.unpack_bits(values[slot], n).astype(np.uint64) << np.uint64(i)
+    sum_slots = [program.output_slots[f"S{i}"] for i in range(min(netlist.width, 64))]
+    rows = np.zeros((n_words, 64), dtype=np.uint64)
+    rows[:, : len(sum_slots)] = values[sum_slots].T
+    engine.transpose64(rows)
+    sums = rows.reshape(-1)[:n]
     couts = None
     if "Cout" in program.output_slots:
-        couts = engine.unpack_bits(values[program.output_slots["Cout"]], n)
+        cout_words = values[program.output_slots["Cout"]]
+        couts = np.unpackbits(cout_words.view(np.uint8), bitorder="little")[:n]
 
     # Each gate owns the contiguous slots from its first to the next gate's.
     slot_pops = np.bitwise_count(values).sum(axis=1, dtype=np.int64)

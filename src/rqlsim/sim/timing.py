@@ -6,10 +6,12 @@ sequential junction along its in-phase path, plus stripline propagation at
 settles after the acceptance window of its phase misses the clock peak and
 is flagged.  At relative bias ``b`` a gate's arrival is the largest
 ``L + S * d0 / b`` over its Pareto envelope of in-phase paths (``L``
-stripline ps, ``S`` sequential junctions), built once per netlist.  The
-lower clock-power margin, the smallest float bias that clears every window,
-is an exact bisection of the bias's bit pattern on that same arithmetic.
-The upper margin is the over-bias ceiling, a calibrated constant.
+stripline ps, ``S`` sequential junctions), built once per netlist; the
+window check takes it for every gate at once, as one ``maximum.reduceat``
+over the envelope's pairs laid out flat.  The lower clock-power margin, the
+smallest float bias that clears every window, is an exact bisection of the
+bias's bit pattern on that same arithmetic.  The upper margin is the
+over-bias ceiling, a calibrated constant.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..gates import ClockConfig, GateKind, junction_delay
 from ..netlist import Netlist, per_netlist
@@ -48,32 +52,30 @@ class TimingViolation:
 
 def arrival_times(netlist: Netlist, clock: ClockConfig) -> dict[int, float]:
     """Static arrival offset (ps) of every gate output within its phase."""
-    d = junction_delay(clock.bias_rel)
-    return {
-        gid: max(l + s * d for l, s in front)
-        for gid, front in _path_envelope(netlist).items()
-    }
+    flat = _flat_envelope(netlist)
+    return dict(zip(flat.gids, flat.arrivals(clock).tolist()))
 
 
 def check_windows(
     netlist: Netlist, clock: ClockConfig
 ) -> tuple[dict[int, float], list[TimingViolation]]:
-    arr = arrival_times(netlist, clock)
+    flat = _flat_envelope(netlist)
+    arr = flat.arrivals(clock)
+    values = arr.tolist()
     window = clock.window_ps
-    violations = [
-        TimingViolation(g.gid, g.name, g.phase, arr[g.gid], window)
-        for g in netlist.gates
-        if g.spec.jj_count > 0 and arr[g.gid] > window
-    ]
-    return arr, violations
+    violations = []
+    for k in np.flatnonzero(arr[flat.checked] > window):
+        g = flat.checked_gates[k]
+        violations.append(
+            TimingViolation(g.gid, g.name, g.phase, values[flat.checked[k]], window)
+        )
+    return dict(zip(flat.gids, values)), violations
 
 
 def worst_arrival(netlist: Netlist, clock: ClockConfig) -> float:
-    arr = arrival_times(netlist, clock)
-    return max(
-        (arr[g.gid] for g in netlist.gates if g.spec.jj_count > 0),
-        default=0.0,
-    )
+    flat = _flat_envelope(netlist)
+    arr = flat.arrivals(clock)[flat.checked]
+    return float(arr.max()) if len(arr) else 0.0
 
 
 def simulate_timed(netlist: Netlist, clock: ClockConfig, vectors):
@@ -152,6 +154,38 @@ def _path_envelope(netlist: Netlist) -> dict[int, tuple[tuple[float, int], ...]]
             ptl = g.ptl_um / PTL_SPEED_UM_PER_PS
         env[gid] = _pareto((l + ptl, s + g.spec.seq_depth) for l, s in paths)
     return env
+
+
+class _FlatEnvelope:
+    """``_path_envelope`` as flat arrays: the pairs of gate ``gids[k]`` are
+    ``L[starts[k]:starts[k + 1]]`` and ``S[...]``, in envelope order.
+    ``checked`` indexes the gates ``check_windows`` checks, in
+    ``netlist.gates`` order, and ``checked_gates`` holds those gates."""
+
+    def __init__(self, netlist: Netlist):
+        env = _path_envelope(netlist)
+        self.gids = list(env)
+        sizes = np.fromiter((len(f) for f in env.values()), np.intp, len(self.gids))
+        self.starts = np.cumsum(sizes) - sizes
+        pairs = [p for front in env.values() for p in front]
+        self.L = np.array([l for l, _ in pairs], dtype=np.float64)
+        self.S = np.array([s for _, s in pairs], dtype=np.float64)
+        index = {gid: k for k, gid in enumerate(self.gids)}
+        self.checked_gates = [g for g in netlist.gates if g.spec.jj_count > 0]
+        self.checked = np.array([index[g.gid] for g in self.checked_gates], dtype=np.intp)
+
+    def arrivals(self, clock: ClockConfig) -> np.ndarray:
+        """Arrival per gate of ``gids``: the largest ``L + S * d`` over its
+        pairs, the same float arithmetic as a loop over ``_path_envelope``."""
+        d = junction_delay(clock.bias_rel)
+        if not self.gids:
+            return np.zeros(0)
+        return np.maximum.reduceat(self.L + self.S * d, self.starts)
+
+
+@per_netlist
+def _flat_envelope(netlist: Netlist) -> _FlatEnvelope:
+    return _FlatEnvelope(netlist)
 
 
 def _window_envelope(netlist: Netlist) -> tuple[tuple[float, int], ...]:

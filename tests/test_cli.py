@@ -740,6 +740,23 @@ class TestClocknetCmd:
     def test_non_finite_design_is_usage_error(self, tmp_path, capsys, argv, message):
         assert_usage_error(tmp_path, capsys, ["clocknet", *argv], message)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sections", "200"], "200 chebyshev sections cannot be synthesized"),
+            (["--kind", "binomial", "--sections", "2000"],
+             "2000 binomial sections cannot be synthesized"),
+            (["--points", "0"], "--points must be at least 1, got 0"),
+            (["--points", "-3"], "--points must be at least 1, got -3"),
+        ],
+        ids=["sections-200", "binomial-2000", "points-0", "points-negative"],
+    )
+    def test_unbuildable_design_or_empty_sweep_is_usage_error(
+        self, tmp_path, capsys, argv, message
+    ):
+        # One "rqlsim:" line on stderr, so no traceback, and no --out.
+        assert_usage_error(tmp_path, capsys, ["clocknet", *argv], message)
+
 
 class TestScenarioAndSpectrumInputs:
     def test_power_scenario_file(self, tmp_path):

@@ -77,6 +77,21 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             design_transformer(ripple_db=3.0)
 
+    @pytest.mark.parametrize("kind, n", [("chebyshev", 31), ("binomial", 1023)])
+    def test_largest_section_counts_still_close_on_the_load(self, kind, n):
+        d = design_transformer(n_sections=n, kind=kind)
+        zs = (50.0, *d.section_impedances, 4.0)
+        assert len(zs) == n + 2
+        assert all(a >= b for a, b in zip(zs, zs[1:]))
+
+    @pytest.mark.parametrize(
+        "kind, n", [("chebyshev", 32), ("chebyshev", 60), ("chebyshev", 200),
+                    ("binomial", 1024)]
+    )
+    def test_sections_past_float_precision_are_refused(self, kind, n):
+        with pytest.raises(ValueError, match=f"{n} {kind} sections cannot be synthesized"):
+            design_transformer(n_sections=n, kind=kind)
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(1, 9),

@@ -17,7 +17,12 @@ from rqlsim.sim import (
     worst_arrival,
 )
 from rqlsim.sim.encode import encode
-from rqlsim.sim.timing import _path_envelope, check_windows
+from rqlsim.sim.timing import (
+    TimingViolation,
+    _flat_envelope,
+    _path_envelope,
+    check_windows,
+)
 
 
 def accumulated_arrivals(netlist, clock):
@@ -125,6 +130,52 @@ class TestArrivals:
         n_lo = len(check_windows(nl, ClockConfig(f, b))[1])
         n_hi = len(check_windows(nl, ClockConfig(f, b + extra))[1])
         assert n_hi <= n_lo
+
+
+def envelope_arrivals(netlist, clock):
+    """Reference: the largest ``L + S * d`` of each gate's envelope, one
+    pair at a time in Python floats."""
+    d = junction_delay(clock.bias_rel)
+    return {
+        gid: max(l + s * d for l, s in front)
+        for gid, front in _path_envelope(netlist).items()
+    }
+
+
+ARRAY_NETS = {
+    "default64": lambda: build_kogge_stone(64),
+    "chip-ptl64": lambda: build_kogge_stone(64, chip_mode=True, ptl_length_um=370.0),
+    "idle2-64": lambda: build_kogge_stone(64, idle_phases=2),
+}
+
+
+class TestArrayTiming:
+    """Arrivals from one ``maximum.reduceat`` over the flat envelope, and
+    the window check as one mask, against pair-by-pair Python."""
+
+    @pytest.mark.parametrize("name", list(ARRAY_NETS))
+    def test_same_floats_order_and_violations(self, name):
+        netlist = ARRAY_NETS[name]()
+        for f in (10e9, 14e9):
+            for bias in (0.7, 1.0, 1.3):
+                clock = ClockConfig(f, bias)
+                want = envelope_arrivals(netlist, clock)
+                got = arrival_times(netlist, clock)
+                assert list(got.items()) == list(want.items())
+                assert all(type(t) is float for t in got.values())
+
+                window = clock.window_ps
+                late = [
+                    TimingViolation(g.gid, g.name, g.phase, want[g.gid], window)
+                    for g in netlist.gates
+                    if g.spec.jj_count > 0 and want[g.gid] > window
+                ]
+                arr, violations = check_windows(netlist, clock)
+                assert arr == want
+                assert violations == late  # in netlist.gates order
+                assert worst_arrival(netlist, clock) == max(
+                    want[g.gid] for g in netlist.gates if g.spec.jj_count > 0
+                )
 
 
 _CACHED = {}
@@ -317,8 +368,14 @@ class TestMargins:
 class TestDerivedDataOncePerNetlist:
     @pytest.mark.parametrize(
         "derive",
-        [encode, _path_envelope, lambda nl: nl.topo_order()],
-        ids=["encode", "path_envelope", "topo_order"],
+        [
+            encode,
+            _path_envelope,
+            lambda nl: nl.topo_order(),
+            _flat_envelope,
+            lambda nl: encode(nl).groups,
+        ],
+        ids=["encode", "path_envelope", "topo_order", "flat_envelope", "groups"],
     )
     def test_second_call_returns_the_same_object(self, derive):
         netlist = build_kogge_stone(4)
