@@ -119,6 +119,19 @@ def cmd_validate(args) -> int:
     )
 
 
+def _prbs_seed(text: str) -> int:
+    """The ``--prbs`` LFSR seed: an integer literal in 1..0xFFFF."""
+    try:
+        seed = int(text, 0)
+    except ValueError:
+        seed = 0
+    if not 1 <= seed <= 0xFFFF:
+        raise ValueError(
+            f"--prbs takes an LFSR seed in 1..0xFFFF (e.g. 0xACE1), got {text!r}"
+        )
+    return seed
+
+
 def _sim_vectors(args, netlist) -> tuple[np.ndarray, np.ndarray]:
     """The stimulus as operand arrays ``(a, b)``, one entry per cycle."""
     if args.cycles is not None and args.prbs is None:
@@ -158,7 +171,7 @@ def _sim_vectors(args, netlist) -> tuple[np.ndarray, np.ndarray]:
         program = InputProgram.from_file(args.serial)
         return shift_register_pairs(program.serial_bits, netlist.width)
     if args.prbs is not None:
-        seed = int(args.prbs, 0)
+        seed = _prbs_seed(args.prbs)
         cycles = args.cycles or 64
         bits = InputProgram.from_prbs(
             cycles + 2 * netlist.width - 1, seed
@@ -440,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     stimulus = s.add_mutually_exclusive_group()
     stimulus.add_argument("--vectors", help="file of 'A B' hex pairs per cycle")
     stimulus.add_argument("--serial", help="bit-string file for the shift register")
-    stimulus.add_argument("--prbs", help="LFSR seed (e.g. 0xACE1)")
+    stimulus.add_argument("--prbs", help="LFSR seed in 1..0xFFFF (e.g. 0xACE1)")
     stimulus.add_argument("--exhaustive", action="store_true")
     s.add_argument("--cycles", type=int)
     s.add_argument("--check", action="store_true")

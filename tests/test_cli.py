@@ -1,11 +1,14 @@
 import json
+import random
 import re
 
+import numpy as np
 import pytest
 
 from rqlsim.cli import main
 from rqlsim.gates import GateKind
 from rqlsim.netlist import Netlist, Pin
+from rqlsim.sim import InputProgram, Lfsr16, shift_register_pairs, simulate_logic
 
 
 def run(tmp_path, *argv):
@@ -393,6 +396,151 @@ class TestSim:
         out = capsys.readouterr().out
         assert "dangling fanin" in out
         assert "cycle" not in out
+
+
+class TestSimStimulusInput:
+    """Refused ``--prbs`` seeds and ``--serial`` files."""
+
+    @pytest.mark.parametrize("seed", ["1", "0xFFFF", "65535", "0o17"])
+    def test_seed_in_range_runs(self, tmp_path, netlist_file, seed):
+        code, out = run(
+            tmp_path, "sim", "--netlist", str(netlist_file),
+            "--prbs", seed, "--cycles", "4", "--check",
+        )
+        assert code == 0
+        assert (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "seed", ["-5", "0x1ACE1", "0x10000", "0", "zz", "1.5", ""]
+    )
+    def test_seed_outside_range_is_usage_error(
+        self, tmp_path, netlist_file, capsys, seed
+    ):
+        assert_usage_error(
+            tmp_path, capsys,
+            ["sim", "--netlist", str(netlist_file), "--prbs", seed, "--cycles", "4"],
+            f"--prbs takes an LFSR seed in 1..0xFFFF (e.g. 0xACE1), got {seed!r}",
+        )
+
+    def test_non_utf8_serial_file_names_the_path(
+        self, tmp_path, netlist_file, capsys
+    ):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0101010101\xff010101\n")
+        assert_usage_error(
+            tmp_path, capsys,
+            ["sim", "--netlist", str(netlist_file), "--serial", str(path)],
+            f"{path}: not a UTF-8 bit-string file (byte 0xff at offset 10)",
+        )
+
+    @pytest.mark.parametrize("text", ["", "\n", "0101 2\n", "01\u00e901\n"])
+    def test_bad_serial_file_is_usage_error(
+        self, tmp_path, netlist_file, capsys, text
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        assert_usage_error(
+            tmp_path, capsys,
+            ["sim", "--netlist", str(netlist_file), "--serial", str(path)],
+            f"{path}: expected a bit-string file",
+        )
+
+
+def per_bit_register_pairs(bits, width):
+    """The operands of a 2*width-stage shift register fed one bit per cycle,
+    as a list of (A, B); register[k] holds the bit received k cycles ago."""
+    register = [0] * (2 * width)
+    pairs = []
+    for bit in bits:
+        register = [int(bit) & 1, *register[:-1]]
+        a = sum(register[i] << i for i in range(width))
+        b = sum(register[2 * width - 1 - i] << i for i in range(width))
+        pairs.append((a, b))
+    return pairs
+
+
+def per_bit_prbs(n_bits, seed):
+    lfsr = Lfsr16(seed)
+    return [lfsr.next_bit() for _ in range(n_bits)]
+
+
+@pytest.fixture(scope="module")
+def adder_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("gen-harness")
+    for width in (8, 64):
+        assert main(["--out", str(base), "gen", "--width", str(width)]) == 0
+    return {width: base / f"adder{width}.rqlnet" for width in (8, 64)}
+
+
+class TestHarnessByteIdentity:
+    """Every harness flow writes the bytes that operands from a per-bit
+    LFSR and a per-cycle shift register give, fed in as ``--vectors``."""
+
+    @staticmethod
+    def outputs(out):
+        return [(out / name).read_bytes() for name in ("trace.csv", "summary.json")]
+
+    def oracle_outputs(self, tmp_path, netlist, pairs):
+        vf = tmp_path / "oracle_vectors.txt"
+        vf.write_text("".join(f"{a:x} {b:x}\n" for a, b in pairs))
+        code, out = run(
+            tmp_path / "oracle", "sim", "--netlist", str(netlist),
+            "--vectors", str(vf), "--check",
+        )
+        assert code == 0
+        return self.outputs(out)
+
+    @pytest.mark.parametrize(
+        "width, seed, cycles",
+        [(8, "0xACE1", 300), (8, "0x1", 40), (64, "0xACE1", 200), (64, "0xFFFF", 70)],
+    )
+    def test_prbs(self, tmp_path, adder_files, width, seed, cycles):
+        code, out = run(
+            tmp_path / "prbs", "sim", "--netlist", str(adder_files[width]),
+            "--prbs", seed, "--cycles", str(cycles), "--check",
+        )
+        assert code == 0
+        bits = per_bit_prbs(cycles + 2 * width - 1, int(seed, 16))
+        pairs = per_bit_register_pairs(bits, width)[-cycles:]
+        assert self.outputs(out) == self.oracle_outputs(
+            tmp_path, adder_files[width], pairs
+        )
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_serial(self, tmp_path, adder_files, width):
+        rng = random.Random(width)
+        bits = [rng.getrandbits(1) for _ in range(3 * width + 37)]
+        path = tmp_path / "bits.txt"
+        text = "".join(map(str, bits))
+        path.write_text(" ".join(text[i : i + 8] for i in range(0, len(text), 8)))
+        code, out = run(
+            tmp_path / "serial", "sim", "--netlist", str(adder_files[width]),
+            "--serial", str(path), "--check",
+        )
+        assert code == 0
+        assert self.outputs(out) == self.oracle_outputs(
+            tmp_path, adder_files[width], per_bit_register_pairs(bits, width)
+        )
+
+    def test_chopped_through_simulate_logic(self, tmp_path, adder_files):
+        netlist = Netlist.load(adder_files[8])
+        n_blocks, active, zero, seed = 4, 120, 56, 0xACE1
+        prog = InputProgram.chopped(n_blocks, active, zero, seed=seed)
+        lfsr = Lfsr16(seed)
+        bits = []
+        for _ in range(n_blocks):
+            bits += [lfsr.next_bit() for _ in range(active)] + [0] * zero
+        a, b = zip(*per_bit_register_pairs(bits, 8))
+        want = simulate_logic(
+            netlist, (np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        )
+        got = simulate_logic(netlist, shift_register_pairs(prog.serial_bits, 8))
+        want.to_csv(tmp_path / "want.csv")
+        got.to_csv(tmp_path / "got.csv")
+        assert got.total_events == want.total_events > 0
+        assert (tmp_path / "got.csv").read_bytes() == (
+            tmp_path / "want.csv"
+        ).read_bytes()
 
 
 @pytest.fixture(scope="module")
