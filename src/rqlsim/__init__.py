@@ -16,10 +16,8 @@ from .gates import (
     GateSpec,
     PhaseSlot,
     eval_gate,
-    gate_budget,
     junction_delay,
     load_gate_table,
-    xor_composite,
 )
 from .netlist import Gate, Netlist, Pin, netlist_stats, validate
 

@@ -168,8 +168,15 @@ def _sim_vectors(args, netlist) -> tuple[np.ndarray, np.ndarray]:
         a, b = np.asarray(pairs, dtype=np.uint64).reshape(-1, 2).T
         return a, b
     if args.serial:
-        program = InputProgram.from_file(args.serial)
-        return shift_register_pairs(program.serial_bits, netlist.width)
+        bits = InputProgram.from_file(args.serial).serial_bits
+        stages = 2 * netlist.width
+        if len(bits) < stages:
+            raise ValueError(
+                f"{args.serial}: --serial stream holds {len(bits)} bits; the "
+                f"{netlist.width}-bit netlist's {stages}-stage shift register "
+                f"needs at least {stages}"
+            )
+        return shift_register_pairs(bits, netlist.width)
     if args.prbs is not None:
         seed = _prbs_seed(args.prbs)
         cycles = args.cycles or 64
@@ -235,6 +242,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_margins(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     netlist = Netlist.load(args.netlist)
     f_lo = parse_frequency(args.fmin)
     f_hi = parse_frequency(args.fmax)
@@ -317,10 +326,23 @@ def cmd_power(args) -> int:
     return _report(args, payload, table, summary="power.json")
 
 
+def _chop_lengths(text: str) -> tuple[int, int]:
+    """The ``--chop`` block lengths: two positive cycle counts ``ACTIVE:ZERO``."""
+    try:
+        active, zero = (int(v) for v in text.split(":"))
+    except ValueError:
+        active = zero = 0
+    if active < 1 or zero < 1:
+        raise ValueError(
+            "--chop takes ACTIVE:ZERO cycle counts (e.g. 12000:12000), "
+            f"got {text!r}"
+        )
+    return active, zero
+
+
 def cmd_sidebands(args) -> int:
     f_clock = parse_frequency(args.f_clock)
-    active, _, zero = args.chop.partition(":")
-    f_mod = sidebands.chop_fundamental(f_clock, int(active), int(zero))
+    f_mod = sidebands.chop_fundamental(f_clock, *_chop_lengths(args.chop))
     if args.measurements:
         mset = sidebands.load_measurements(args.measurements)
         lines = mset.lines

@@ -18,15 +18,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 
-class MatchDesignError(ValueError):
-    """Requested ripple/bandwidth combination is unreachable; carries the
-    ripple the design could achieve over that band."""
-
-    def __init__(self, message: str, achievable_ripple_db: float):
-        super().__init__(message)
-        self.achievable_ripple_db = achievable_ripple_db
-
-
 # Largest |ln Z_N + 2 G_N - ln z_load| / |ln(z_load / z_source)| accepted.
 _CLOSURE_TOL = 1e-6
 
@@ -89,33 +80,18 @@ def _acoshT(n: int, value: float) -> float:
     return math.cosh(math.acosh(value) / n)
 
 
-def chebyshev_bandwidth(
-    z_source: float, z_load: float, n_sections: int, ripple_db: float
-) -> float:
-    """Fractional bandwidth over which an equal-ripple design holds |S11|
-    below the ripple (small-reflection theory)."""
-    gamma_m = 10.0 ** (ripple_db / 20.0)
-    ln_ratio = abs(math.log(z_load / z_source))
-    sec_tm = _acoshT(n_sections, ln_ratio / (2.0 * gamma_m))
-    theta_m = math.acos(min(1.0, 1.0 / sec_tm))
-    return 2.0 - 4.0 * theta_m / math.pi
-
-
 def design_transformer(
     z_source: float = 50.0,
     z_load: float = 4.0,
     n_sections: int = 6,
     f_center_hz: float = 7.5e9,
     ripple_db: float = -30.0,
-    band_hz: tuple[float, float] | None = None,
     kind: str = "chebyshev",
 ) -> TransformerDesign:
     """Synthesize a quarter-wave-section impedance ladder.
 
-    ``ripple_db`` is the in-band return-loss target (negative dB).  With
-    ``band_hz`` the equal-ripple bandwidth is pinned to that band and the
-    achievable ripple checked against the target, raising MatchDesignError
-    if the combination cannot be met.
+    ``ripple_db`` is the in-band return-loss target (negative dB); a
+    Chebyshev design's bandwidth follows from it and the section count.
     """
     if not (0 < z_source < math.inf and 0 < z_load < math.inf) or z_source == z_load:
         raise ValueError(
@@ -129,9 +105,7 @@ def design_transformer(
     ln_ratio = math.log(z_load / z_source)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            gammas, ripple, fbw = _gammas(
-                kind, n_sections, ln_ratio, ripple_db, band_hz, f_center_hz
-            )
+            gammas, ripple, fbw = _gammas(kind, n_sections, ln_ratio, ripple_db)
     except OverflowError:
         gammas = [math.inf]
     # The ladder must end at the load: ln Z_N + 2 G_N = ln z_load.  The
@@ -159,7 +133,7 @@ def design_transformer(
     )
 
 
-def _gammas(kind, n_sections, ln_ratio, ripple_db, band_hz, f_center_hz):
+def _gammas(kind, n_sections, ln_ratio, ripple_db):
     """Section reflection coefficients G_0..G_N of a design, with its
     in-band ripple and fractional bandwidth (None for binomial)."""
     if kind == "binomial":
@@ -169,22 +143,7 @@ def _gammas(kind, n_sections, ln_ratio, ripple_db, band_hz, f_center_hz):
     if not ripple_db < 0:
         raise ValueError(f"ripple must be negative dB, got {ripple_db!r}")
     gamma_m = 10.0 ** (ripple_db / 20.0)
-    if band_hz is not None:
-        f_lo, f_hi = band_hz
-        if not 0 < f_lo < f_center_hz < f_hi:
-            raise ValueError("band must straddle the center frequency")
-        theta_m = math.pi / 2.0 * (f_lo / f_center_hz)
-        sec_tm = 1.0 / math.cos(theta_m)
-        achievable = abs(ln_ratio) / (2.0 * _coshN(n_sections, sec_tm))
-        if achievable > gamma_m:
-            ach_db = 20.0 * math.log10(achievable)
-            raise MatchDesignError(
-                f"{n_sections} sections reach only {ach_db:.1f} dB ripple "
-                f"over {f_lo / 1e9:.3g}-{f_hi / 1e9:.3g} GHz",
-                ach_db,
-            )
-    else:
-        sec_tm = _acoshT(n_sections, abs(ln_ratio) / (2.0 * gamma_m))
+    sec_tm = _acoshT(n_sections, abs(ln_ratio) / (2.0 * gamma_m))
     gammas = _chebyshev_gammas(n_sections, ln_ratio, sec_tm)
     ripple = 20.0 * math.log10(abs(ln_ratio) / (2.0 * _coshN(n_sections, sec_tm)))
     theta_m = math.acos(min(1.0, 1.0 / sec_tm))

@@ -129,19 +129,6 @@ def load_gate_table(path) -> dict[GateKind, GateSpec]:
     return table
 
 
-def save_gate_table(table: dict[GateKind, GateSpec], path) -> None:
-    cp = configparser.ConfigParser()
-    for kind, spec in table.items():
-        cp[kind.value] = {
-            "jj_count": str(spec.jj_count),
-            "ic_avg": repr(spec.ic_avg_ua),
-            "seq_depth": str(spec.seq_depth),
-        }
-    with open(path, "w") as fh:
-        fh.write("# units: ic_avg in microamps\n")
-        cp.write(fh)
-
-
 @dataclass(frozen=True)
 class ClockConfig:
     """Four-phase AC clock settings.
@@ -230,23 +217,9 @@ def eval_gate(kind: GateKind, inputs) -> tuple[int, ...]:
     return ()  # Sink
 
 
-def xor_composite(a: int, b: int) -> int:
-    """XOR built the RQL way: AndOr outputs wired into an AnotB.
-
-    "A or B, but not both A and B."
-    """
-    or_out, and_out = eval_gate(GateKind.ANDOR, (a, b))
-    return eval_gate(GateKind.ANOTB, (or_out, and_out))[0]
-
-
 def junction_delay(bias_rel: float, d0_ps: float = NOMINAL_JUNCTION_DELAY_PS) -> float:
     """Delay of one sequentially wired junction at the given relative clock
     amplitude: d0 / bias_rel, picoseconds."""
     if bias_rel <= 0:
         raise ValueError("bias_rel must be positive")
     return d0_ps / bias_rel
-
-
-def gate_budget(spec: GateSpec) -> tuple[int, float]:
-    """(junction count, summed critical current in microamps) of one gate."""
-    return spec.jj_count, spec.jj_count * spec.ic_avg_ua

@@ -10,22 +10,18 @@ actual data activity: zeros dissipate nothing.
 from __future__ import annotations
 
 import configparser
-import json
 import math
 from dataclasses import dataclass, field
 
 from .gates import N_OUTPUTS, NOMINAL_JUNCTION_DELAY_PS, PHI0_VS
 from .netlist import Netlist
 from .sim.logic import SimTrace, switching_activity
-from .units import format_si
 
 DYNAMIC_PREFACTOR = 0.33
 
 # Reference gate tolerance to clock-amplitude variation; the applied-power
 # rule is anchored here (see clock_budget).
 NOMINAL_MARGIN_FRAC = 0.10
-
-CRYOCOOLER_OVERHEAD_W_PER_W = 1000.0
 
 
 def dynamic_power(ic_avg_a: float, n_junctions: float, frequency_hz: float) -> float:
@@ -85,23 +81,6 @@ class PowerReport:
             "per_region_w": self.per_region_w,
             "parameters": self.parameters,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_table(self) -> str:
-        lines = [f"total dissipation     {format_si(self.p_total_w, 'W')}"]
-        for line, p in sorted(self.per_line_w.items()):
-            lines.append(f"clock {line:<15} {format_si(p, 'W')}")
-        for region, p in self.per_region_w.items():
-            lines.append(f"region {region:<14} {format_si(p, 'W')}")
-        rsfq = rsfq_static_equivalent()
-        lines.append(
-            f"(one RSFQ bias resistor dissipates {format_si(rsfq, 'W')} "
-            f"statically; cryocooler overhead is of order "
-            f"{CRYOCOOLER_OVERHEAD_W_PER_W:.0f} W/W)"
-        )
-        return "\n".join(lines)
 
 
 def attribute_power(

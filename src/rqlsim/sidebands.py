@@ -9,8 +9,7 @@ ratio to the carrier (SSB, in dB) encodes the dissipated power:
 
 with ``a`` the fraction of sideband power attributable to AM (1/2 when AM
 and PM contribute equally, since their sideband amplitudes add in
-quadrature).  Internals use exact constants; the conventional dB form
-10*log10(2*pi) ~ 8 is available from ``dissipation_ratio_db`` for display.
+quadrature).  Internals use exact constants.
 """
 
 from __future__ import annotations
@@ -83,22 +82,6 @@ def am_pm_corrected_power(
         am_power_fraction * 10.0 ** (m.ssb_db / 10.0)
     )
     return ratio * m.p0_w
-
-
-def dissipation_ratio_db(
-    ssb_db: float, am_power_fraction: float = 0.5, rounded: bool = False
-) -> float:
-    """dP/P0 in dB.  ``rounded`` rounds 10*log10(2*pi) to 8 and the
-    quadrature correction to 3 dB, matching the conventional printed form
-    8 + (SSB - 3)/2; the default keeps the exact constants."""
-    if rounded:
-        if am_power_fraction != 0.5:
-            raise ValueError("the rounded form is defined for fraction 1/2")
-        return 8.0 + 0.5 * (ssb_db - 3.0)
-    return (
-        10.0 * math.log10(2.0 * math.pi)
-        + 0.5 * (ssb_db + 10.0 * math.log10(am_power_fraction))
-    )
 
 
 def extract_ma(p_lo_over_p_hi: float) -> float:

@@ -11,7 +11,6 @@ from .timing import (
     margin_sweep,
     min_operating_bias,
     simulate_timed,
-    worst_arrival,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "margin_sweep",
     "min_operating_bias",
     "simulate_timed",
-    "worst_arrival",
 ]

@@ -58,14 +58,6 @@ class SimTrace:
     def total_events(self) -> int:
         return int(self.gate_events.sum())
 
-    def output_at_cycle(self, cycle: int) -> tuple[int, int | None]:
-        """(sum, cout) visible at a given cycle; zeros while the pipe fills."""
-        wave = cycle - self.offset_cycles
-        if wave < 0 or wave >= self.n_vectors:
-            return 0, (0 if self.couts is not None else None)
-        cout = int(self.couts[wave]) if self.couts is not None else None
-        return int(self.sums[wave]), cout
-
     def to_csv(self, path) -> None:
         """One row per cycle: inputs entering, outputs emerging, events of
         the wave entering that cycle.  ``_CSV_ROWS`` rows at a time are

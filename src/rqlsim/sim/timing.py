@@ -72,12 +72,6 @@ def check_windows(
     return dict(zip(flat.gids, values)), violations
 
 
-def worst_arrival(netlist: Netlist, clock: ClockConfig) -> float:
-    flat = _flat_envelope(netlist)
-    arr = flat.arrivals(clock)[flat.checked]
-    return float(arr.max()) if len(arr) else 0.0
-
-
 def simulate_timed(netlist: Netlist, clock: ClockConfig, vectors):
     """``simulate_logic`` of operand arrays ``vectors = (a, b)``, plus
     arrival offsets and window violations."""

@@ -1,4 +1,4 @@
-"""Unit helpers: frequency strings, dBm/W and dB conversions."""
+"""Unit helpers: frequency strings, dBm to watts and SI formatting."""
 
 from __future__ import annotations
 
@@ -56,24 +56,6 @@ def parse_frequency_range(text) -> tuple[float, float]:
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(watts) + 30.0
-
-
-def db(ratio: float) -> float:
-    """Power ratio -> dB."""
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
-    return 10.0 * math.log10(ratio)
-
-
-def undb(value_db: float) -> float:
-    """dB -> power ratio."""
-    return 10.0 ** (value_db / 10.0)
 
 
 def format_si(value: float, unit: str, digits: int = 3) -> str:

@@ -445,6 +445,18 @@ class TestSimStimulusInput:
             f"{path}: expected a bit-string file",
         )
 
+    def test_serial_stream_shorter_than_register_is_usage_error(
+        self, tmp_path, netlist_file, capsys
+    ):
+        path = tmp_path / "short.txt"
+        path.write_text("0101\n")
+        assert_usage_error(
+            tmp_path, capsys,
+            ["sim", "--netlist", str(netlist_file), "--serial", str(path)],
+            f"{path}: --serial stream holds 4 bits; the 4-bit netlist's "
+            "8-stage shift register needs at least 8",
+        )
+
 
 def per_bit_register_pairs(bits, width):
     """The operands of a 2*width-stage shift register fed one bit per cycle,
@@ -734,6 +746,16 @@ class TestMargins:
         assert "Traceback" not in err
         assert not (out / "margins.csv").exists()
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_steps_below_one_is_usage_error(
+        self, tmp_path, netlist_file, capsys, steps
+    ):
+        assert_usage_error(
+            tmp_path, capsys,
+            ["margins", "--netlist", str(netlist_file), "--steps", steps],
+            f"--steps must be at least 1, got {steps}",
+        )
+
 
 class TestPowerCmd:
     def test_core_power(self, tmp_path, capsys):
@@ -849,6 +871,15 @@ class TestSidebandsCmd:
     def test_bad_line_is_usage_error(self, tmp_path, capsys, argv, message):
         other = ["--i", "-79.3", "--p0i", "-2.4"]
         assert_usage_error(tmp_path, capsys, ["sidebands", *argv, *other], message)
+
+    @pytest.mark.parametrize("chop", ["12000", "a:b", "0:5", "-5:3"])
+    def test_bad_chop_is_usage_error(self, tmp_path, capsys, chop):
+        lines = ["--q", "-69.3", "--i", "-79.3", "--p0q", "-2.0", "--p0i", "-2.4"]
+        assert_usage_error(
+            tmp_path, capsys, ["sidebands", *lines, f"--chop={chop}"],
+            "--chop takes ACTIVE:ZERO cycle counts (e.g. 12000:12000), "
+            f"got {chop!r}",
+        )
 
 
 class TestClocknetCmd:

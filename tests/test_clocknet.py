@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqlsim.clocknet import (
-    MatchDesignError,
     cascade_sparams,
-    chebyshev_bandwidth,
     design_transformer,
     return_loss_db,
     sweep_to_csv,
@@ -16,7 +14,7 @@ from rqlsim.clocknet import (
 
 def bandwidth_oracle(z1, z2, n, ripple_db):
     """Equal-ripple fractional bandwidth from the closed form, written out
-    independently of the library's helper."""
+    independently of the library's synthesis."""
     gamma_m = 10.0 ** (ripple_db / 20.0)
     value = abs(math.log(z2 / z1)) / (2.0 * gamma_m)
     sec_tm = math.cosh(math.acosh(value) / n)
@@ -47,20 +45,6 @@ class TestSynthesis:
         assert d.fractional_bandwidth == pytest.approx(want, rel=1e-9)
         assert want == pytest.approx(1.14, abs=0.01)  # theory: about 115%
         assert d.fractional_bandwidth >= 5.0 / 7.5  # covers 5-10 GHz
-
-    def test_library_bandwidth_helper_matches(self):
-        assert chebyshev_bandwidth(50.0, 4.0, 6, -30.0) == pytest.approx(
-            bandwidth_oracle(50.0, 4.0, 6, -30.0)
-        )
-
-    def test_band_pinning(self):
-        d = design_transformer(band_hz=(5e9, 10e9))
-        assert d.ripple_db <= -30.0
-
-    def test_unreachable_band_reports_achievable(self):
-        with pytest.raises(MatchDesignError) as exc:
-            design_transformer(n_sections=2, band_hz=(2e9, 13e9), ripple_db=-30.0)
-        assert exc.value.achievable_ripple_db > -30.0
 
     def test_binomial_alternative(self):
         d = design_transformer(kind="binomial")

@@ -10,11 +10,8 @@ from rqlsim.gates import (
     GateSpec,
     PhaseSlot,
     eval_gate,
-    gate_budget,
     junction_delay,
     load_gate_table,
-    save_gate_table,
-    xor_composite,
 )
 
 
@@ -57,12 +54,6 @@ class TestEvalGate:
         assert eval_gate(kind, bits) == eval_gate(kind, bits)
 
 
-def test_xor_composite_exhaustive():
-    for a in (0, 1):
-        for b in (0, 1):
-            assert xor_composite(a, b) == a ^ b
-
-
 class TestJunctionDelay:
     def test_nominal(self):
         assert junction_delay(1.0, 3.0) == 3.0
@@ -89,19 +80,6 @@ class TestJunctionDelay:
     )
     def test_strictly_decreasing(self, bias, step):
         assert junction_delay(bias) > junction_delay(bias * step)
-
-
-class TestGateBudget:
-    def test_split_two_junctions(self):
-        spec = GateSpec(GateKind.SPLIT, 2, 162.0, 2)
-        assert gate_budget(spec) == (2, 324.0)
-
-    def test_source_is_free(self):
-        assert gate_budget(DEFAULT_GATE_TABLE[GateKind.SOURCE]) == (0, 0.0)
-
-    def test_configured_andor(self):
-        spec = GateSpec(GateKind.ANDOR, 6, 162.0, 4)
-        assert gate_budget(spec) == (6, 972.0)
 
 
 class TestGateSpec:
@@ -168,10 +146,30 @@ class TestClockConfig:
 
 
 def test_gate_table_round_trip(tmp_path):
+    # Every kind and every field, none at its default, so that each value
+    # must come from the file.
     path = tmp_path / "gates.ini"
-    save_gate_table(DEFAULT_GATE_TABLE, path)
-    table = load_gate_table(path)
-    assert table == DEFAULT_GATE_TABLE
+    path.write_text(
+        "# units: ic_avg in microamps\n"
+        "[AndOr]\njj_count = 12\nic_avg = 150.5\nseq_depth = 5\n"
+        "[AnotB]\njj_count = 11\nic_avg = 151.5\nseq_depth = 3\n"
+        "[Split]\njj_count = 3\nic_avg = 152.5\nseq_depth = 1\n"
+        "[Delay]\njj_count = 4\nic_avg = 153.5\nseq_depth = 3\n"
+        "[PtlDriver]\njj_count = 5\nic_avg = 154.5\nseq_depth = 2\n"
+        "[PtlReceiver]\njj_count = 6\nic_avg = 155.5\nseq_depth = 4\n"
+        "[Source]\njj_count = 0\nic_avg = 1.5\nseq_depth = 0\n"
+        "[Sink]\njj_count = 0\nic_avg = 2.5\nseq_depth = 0\n"
+    )
+    assert load_gate_table(path) == {
+        GateKind.ANDOR: GateSpec(GateKind.ANDOR, 12, 150.5, 5),
+        GateKind.ANOTB: GateSpec(GateKind.ANOTB, 11, 151.5, 3),
+        GateKind.SPLIT: GateSpec(GateKind.SPLIT, 3, 152.5, 1),
+        GateKind.DELAY: GateSpec(GateKind.DELAY, 4, 153.5, 3),
+        GateKind.PTL_DRIVER: GateSpec(GateKind.PTL_DRIVER, 5, 154.5, 2),
+        GateKind.PTL_RECEIVER: GateSpec(GateKind.PTL_RECEIVER, 6, 155.5, 4),
+        GateKind.SOURCE: GateSpec(GateKind.SOURCE, 0, 1.5, 0),
+        GateKind.SINK: GateSpec(GateKind.SINK, 0, 2.5, 0),
+    }
 
 
 def test_gate_table_partial_override(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -163,8 +164,12 @@ class TestAttribution:
 
     def test_report_serializes(self):
         report = attribute_power({"Q": 1e-6}, {"a": 0.5})
-        assert "p_total_w" in report.to_json()
-        assert "RSFQ" in report.to_table()
+        assert json.loads(json.dumps(report.to_dict())) == {
+            "p_total_w": 1e-6,
+            "per_line_w": {"Q": 1e-6},
+            "per_region_w": {"a": 0.5e-6},
+            "parameters": {},
+        }
 
 
 class TestClockBudget:

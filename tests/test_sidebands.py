@@ -9,7 +9,6 @@ from rqlsim.sidebands import (
     SidebandMeasurement,
     am_pm_corrected_power,
     chop_fundamental,
-    dissipation_ratio_db,
     extract_ma,
     extract_mp,
     load_measurements,
@@ -80,19 +79,6 @@ class TestCorrectedPower:
             am_pm_corrected_power(Q_LINE, 0.0)
         with pytest.raises(ValueError):
             am_pm_corrected_power(Q_LINE, 1.5)
-
-    def test_rounded_form_close_to_exact(self):
-        # 10 log10(2 pi) rounds to 8 and the quadrature factor to 3 dB;
-        # rounded and exact forms stay within 0.05 dB
-        for ssb in (-69.3, -79.3, -50.0):
-            exact = dissipation_ratio_db(ssb)
-            printed = dissipation_ratio_db(ssb, rounded=True)
-            assert abs(exact - printed) < 0.05
-
-    def test_rounded_form_value(self):
-        assert dissipation_ratio_db(-69.3, rounded=True) == pytest.approx(
-            8 + 0.5 * (-69.3 - 3)
-        )
 
 
 class TestModulationExtraction:

@@ -14,7 +14,6 @@ from rqlsim.sim import (
     margin_sweep,
     min_operating_bias,
     simulate_timed,
-    worst_arrival,
 )
 from rqlsim.sim.encode import encode
 from rqlsim.sim.timing import (
@@ -173,9 +172,6 @@ class TestArrayTiming:
                 arr, violations = check_windows(netlist, clock)
                 assert arr == want
                 assert violations == late  # in netlist.gates order
-                assert worst_arrival(netlist, clock) == max(
-                    want[g.gid] for g in netlist.gates if g.spec.jj_count > 0
-                )
 
 
 _CACHED = {}
@@ -360,9 +356,6 @@ class TestMargins:
         lines = path.read_text().splitlines()
         assert lines[0] == "frequency_hz,lower_db,upper_db,width_db"
         assert len(lines) == 3
-
-    def test_worst_arrival_helper(self, adder8):
-        assert worst_arrival(adder8, ClockConfig(10e9)) == pytest.approx(24.0)
 
 
 class TestDerivedDataOncePerNetlist:

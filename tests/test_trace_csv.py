@@ -9,6 +9,15 @@ from rqlsim.sim import logic, simulate_logic
 from rqlsim.sim.logic import SimTrace
 
 
+def output_at_cycle(trace: SimTrace, cycle: int) -> tuple[int, int | None]:
+    """(sum, cout) visible at a given cycle; zeros while the pipe fills."""
+    wave = cycle - trace.offset_cycles
+    if wave < 0 or wave >= trace.n_vectors:
+        return 0, (0 if trace.couts is not None else None)
+    cout = int(trace.couts[wave]) if trace.couts is not None else None
+    return int(trace.sums[wave]), cout
+
+
 def reference_csv(trace: SimTrace) -> bytes:
     """One formatted row per cycle, written the way ``to_csv`` first did."""
     n_cycles = trace.n_vectors + trace.offset_cycles
@@ -19,7 +28,7 @@ def reference_csv(trace: SimTrace) -> bytes:
     for t in range(n_cycles):
         a = f"{int(trace.a[t]):x}" if t < trace.n_vectors else ""
         b = f"{int(trace.b[t]):x}" if t < trace.n_vectors else ""
-        s, cout = trace.output_at_cycle(t)
+        s, cout = output_at_cycle(trace, t)
         ev = str(int(trace.wave_events[t])) if t < trace.n_vectors else ""
         row = f"{t},{a},{b},{s:x}"
         if trace.couts is not None:
