@@ -5,8 +5,8 @@ leaves the command-line behaviour byte-identical.
     python3 benchmarks/cli_flows.py [--checkout DIR]
 
 Runs each flow below through ``rqlsim.cli.main`` of ``DIR/src`` (this
-checkout by default), in one scratch directory that is deleted afterwards,
-and prints one line per flow: its name and one sha256 over the exit code,
+checkout by default), in one scratch directory that is deleted afterwards
+and that first receives the input files the flows read, and prints one line per flow: its name and one sha256 over the exit code,
 stdout, stderr and every file the flow wrote under ``--out``, manifest
 included.  The scratch directory's path is replaced by a fixed token
 before hashing, so two checkouts print the same lines exactly when their
@@ -26,8 +26,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORK = "<work>"
 
+
+def _spectrum(p0_dbm: float, ssb_db: float) -> str:
+    """A spectrum CSV around the 6.2 GHz carrier of ``sidebands``' defaults,
+    with first sidebands at its 12000:12000 chop fundamental."""
+    f_c, f_m = 6.2e9, 6.2e9 / 24000
+    level = {0: p0_dbm, -1: p0_dbm + ssb_db, 1: p0_dbm + ssb_db}
+    rows = [f"{f_c + k * f_m:.3f},{level.get(k, -120.0):.3f}" for k in range(-8, 9)]
+    return "frequency_hz,power_dbm\n" + "\n".join(rows) + "\n"
+
+
+# One valid input file of each kind the CLI reads besides a netlist, by the
+# name a flow gives it.
+INPUTS = {
+    "gates.ini": "[AndOr]\njj_count = 12\nic_avg = 150.5\n[Split]\nic_avg = 170\n",
+    "scenario.ini": (
+        "[scenario]\nn_devices = 2e6\nic_avg = 100e-6\nfrequency = 10e9\n"
+        "margin_frac = 0.05\nline_impedance = 25\n"
+    ),
+    "descriptor.ini": (
+        "# the paper's measured chain\n"
+        "[chop]\nf_clock = 6.2e9\nactive_len = 12000\nzero_len = 12000\n"
+        "[line.Q]\np0_dbm = -2.0\nssb_db = -69.3\n"
+        "[line.I]\napplied_dbm = -1.9\nreturned_dbm = -2.9\nssb_db = -79.3\n"
+        "[regions]\ncla_core = 0.42\namps = 0.5\n"
+    ),
+    "q.csv": _spectrum(-2.0, -69.3),
+    "i.csv": _spectrum(-2.4, -79.3),
+    "vectors.txt": "# A B in hex\n0 0\nff ff\n12,34\n80 80  # carry out\nab cd\n",
+    "serial.txt": "0110 1001 1100 0011\n" * 4,
+}
+
 # (flow name, CLI arguments after ``--out``).  NET8, NET64, CHIP64 and IDLE64
-# stand for the netlists that the first four flows generate.
+# stand for the netlists that the first four flows generate, and a name in
+# INPUTS for that file.
 FLOWS = [
     ("gen-8", ["gen", "--width", "8"]),
     ("gen-64", ["gen", "--width", "64"]),
@@ -68,6 +100,15 @@ FLOWS = [
                       "--budget"]),
     ("sidebands", ["sidebands", "--q", "-69.3", "--i", "-79.3", "--p0q", "-2.0",
                    "--p0i", "-2.4"]),
+    ("gen-8-config", ["--config", "gates.ini", "gen", "--width", "8"]),
+    ("power-scenario", ["power", "--scenario", "scenario.ini"]),
+    ("sidebands-measurements", ["sidebands", "--measurements", "descriptor.ini"]),
+    ("sidebands-spectrum", ["sidebands", "--spectrum-q", "q.csv",
+                            "--spectrum-i", "i.csv"]),
+    ("sim-vectors-8", ["sim", "--netlist", "NET8", "--vectors", "vectors.txt",
+                       "--check"]),
+    ("sim-serial-8", ["sim", "--netlist", "NET8", "--serial", "serial.txt",
+                      "--check"]),
 ]
 
 
@@ -78,6 +119,7 @@ def run_flow(main, work: Path, name: str, argv: list[str]) -> str:
         "NET64": work / "gen-64" / "adder64.rqlnet",
         "CHIP64": work / "gen-chip-ptl-64" / "adder64.rqlnet",
         "IDLE64": work / "gen-idle2-64" / "adder64.rqlnet",
+        **{name: work / name for name in INPUTS},
     }
     out = work / name
     argv = ["--out", str(out), *(str(nets.get(a, a)) for a in argv)]
@@ -117,6 +159,8 @@ def main(argv=None) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="cli-flows-") as tmp:
         work = Path(tmp)
+        for name, text in INPUTS.items():
+            (work / name).write_text(text)
         for name, flow in FLOWS:
             print(f"{name} {run_flow(rqlsim.cli.main, work, name, flow)}", flush=True)
     return 0

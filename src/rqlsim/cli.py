@@ -33,7 +33,7 @@ from .sim import (
     simulate_logic,
     simulate_timed,
 )
-from .units import format_si, parse_frequency, parse_frequency_range
+from .units import format_si, parse_frequency, parse_frequency_range, read_text
 
 
 def _report(
@@ -145,26 +145,28 @@ def _sim_vectors(args, netlist) -> tuple[np.ndarray, np.ndarray]:
         return np.repeat(values, len(values)), np.tile(values, len(values))
     if args.vectors:
         pairs = []
-        with open(args.vectors) as fh:
-            for lineno, ln in enumerate(fh, 1):
-                ln = ln.split("#")[0].strip()
-                if not ln:
-                    continue
-                try:
-                    a, b = (int(v, 16) for v in ln.replace(",", " ").split())
-                    if a < 0 or b < 0:
-                        raise ValueError("negative operand")
-                except ValueError:
-                    raise ValueError(
-                        f"{args.vectors}, line {lineno}: expected two "
-                        f"non-negative hex values 'A B', got {ln!r}"
-                    ) from None
-                if (a | b) >> netlist.width:
-                    raise ValueError(
-                        f"{args.vectors}, line {lineno}: operand wider than "
-                        f"the {netlist.width}-bit netlist in {ln!r}"
-                    )
-                pairs.append((a, b))
+        text = read_text(args.vectors, "vectors file")
+        for lineno, ln in enumerate(text.splitlines(), 1):
+            ln = ln.split("#")[0].strip()
+            if not ln:
+                continue
+            try:
+                a, b = (int(v, 16) for v in ln.replace(",", " ").split())
+                if a < 0 or b < 0:
+                    raise ValueError("negative operand")
+            except ValueError:
+                raise ValueError(
+                    f"{args.vectors}, line {lineno}: expected two "
+                    f"non-negative hex values 'A B', got {ln!r}"
+                ) from None
+            if (a | b) >> netlist.width:
+                raise ValueError(
+                    f"{args.vectors}, line {lineno}: operand wider than "
+                    f"the {netlist.width}-bit netlist in {ln!r}"
+                )
+            pairs.append((a, b))
+        if not pairs:
+            raise ValueError(f"{args.vectors}: the vectors file holds no 'A B' line")
         a, b = np.asarray(pairs, dtype=np.uint64).reshape(-1, 2).T
         return a, b
     if args.serial:
@@ -311,9 +313,8 @@ def cmd_power(args) -> int:
         f"(N={n:g}, Ic={format_si(ic, 'A')}, f={format_si(f, 'Hz')})"
     )
     if args.budget:
-        scenario = power.ScalingScenario(
-            n, ic, f, args.margin, args.z
-        )
+        if not args.scenario:
+            scenario = power.ScalingScenario(n, ic, f, args.margin, args.z)
         budget = power.clock_budget(scenario)
         payload["budget"] = budget.to_dict()
         table += (

@@ -8,10 +8,11 @@ is driven by the sequential-junction delay model in ``junction_delay``.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+from .units import IniFile
 
 # Magnetic flux quantum h/2e in V*s (2.068 mV*ps).
 PHI0_VS = 2.068e-15
@@ -109,12 +110,9 @@ def load_gate_table(path) -> dict[GateKind, GateSpec]:
     One section per gate kind, keys ``jj_count``, ``ic_avg`` (microamps) and
     ``seq_depth``; kinds not listed keep their defaults.
     """
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise OSError(f"cannot read gate table {path!r}")
+    ini = IniFile(path, "gate table")
     table = dict(DEFAULT_GATE_TABLE)
-    for section in cp.sections():
+    for section in ini.sections:
         try:
             kind = GateKind(section)
         except ValueError:
@@ -122,9 +120,9 @@ def load_gate_table(path) -> dict[GateKind, GateSpec]:
         base = table[kind]
         table[kind] = GateSpec(
             kind,
-            cp.getint(section, "jj_count", fallback=base.jj_count),
-            cp.getfloat(section, "ic_avg", fallback=base.ic_avg_ua),
-            cp.getint(section, "seq_depth", fallback=base.seq_depth),
+            ini.get(section, "jj_count", int, base.jj_count),
+            ini.get(section, "ic_avg", float, base.ic_avg_ua),
+            ini.get(section, "seq_depth", int, base.seq_depth),
         )
     return table
 

@@ -29,6 +29,7 @@ from .gates import (
     GateSpec,
     PhaseSlot,
 )
+from .units import read_text
 
 NETLIST_FORMAT = "rqlnet 1"
 
@@ -235,8 +236,7 @@ class Netlist:
 
     @classmethod
     def load(cls, path) -> "Netlist":
-        with open(path) as fh:
-            return cls.loads(fh.read())
+        return cls.loads(read_text(path, "netlist"))
 
 
 def _parse_gate(rest: str) -> Gate:

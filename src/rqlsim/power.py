@@ -9,13 +9,13 @@ actual data activity: zeros dissipate nothing.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field
 
 from .gates import N_OUTPUTS, NOMINAL_JUNCTION_DELAY_PS, PHI0_VS
 from .netlist import Netlist
 from .sim.logic import SimTrace, switching_activity
+from .units import IniFile
 
 DYNAMIC_PREFACTOR = 0.33
 
@@ -193,19 +193,14 @@ def load_scenario(path) -> ScalingScenario:
     """Read a [scenario] section from an INI file (same format family as
     the gate table): n_devices, ic_avg (amps), frequency (Hz), optional
     margin_frac, line_impedance, seq_junctions_per_phase."""
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise OSError(f"cannot read scenario file {path!r}")
-    if "scenario" not in cp:
-        raise ValueError(f"{path}: missing [scenario] section")
-    sec = cp["scenario"]
+    ini = IniFile(path, "scenario file")
     return ScalingScenario(
-        n_devices=sec.getfloat("n_devices"),
-        ic_avg_a=sec.getfloat("ic_avg"),
-        frequency_hz=sec.getfloat("frequency"),
-        margin_frac=sec.getfloat("margin_frac", fallback=NOMINAL_MARGIN_FRAC),
-        line_impedance_ohm=sec.getfloat("line_impedance", fallback=50.0),
-        seq_junctions_per_phase=sec.getint(
-            "seq_junctions_per_phase", fallback=8
+        n_devices=ini.get("scenario", "n_devices"),
+        ic_avg_a=ini.get("scenario", "ic_avg"),
+        frequency_hz=ini.get("scenario", "frequency"),
+        margin_frac=ini.get("scenario", "margin_frac", float, NOMINAL_MARGIN_FRAC),
+        line_impedance_ohm=ini.get("scenario", "line_impedance", float, 50.0),
+        seq_junctions_per_phase=ini.get(
+            "scenario", "seq_junctions_per_phase", int, 8
         ),
     )

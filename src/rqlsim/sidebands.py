@@ -14,13 +14,12 @@ quadrature).  Internals use exact constants.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .units import dbm_to_watts
+from .units import IniFile, dbm_to_watts, read_text
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,10 @@ class SidebandMeasurement:
             raise ValueError(
                 f"SSB ratio must be negative (below the carrier), got {self.ssb_db!r}"
             )
-        if not math.isfinite(self.p0_dbm):
-            raise ValueError(f"carrier power must be finite, got {self.p0_dbm!r} dBm")
+        if not abs(self.p0_dbm) < 1000:  # dbm_to_watts overflows above 3112 dBm
+            raise ValueError(
+                f"carrier power must be finite, within +/-1000 dBm, got {self.p0_dbm!r}"
+            )
         if not 0 < self.f_mod_hz < self.f_carrier_hz:
             raise ValueError("modulation must sit below the carrier frequency")
 
@@ -172,19 +173,18 @@ def read_spectrum_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """(frequencies Hz, powers dBm) from a two-column CSV; a header line is
     skipped if present."""
     freqs, powers = [], []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            f_s, _, p_s = ln.partition(",")
-            try:
-                freqs.append(float(f_s))
-                powers.append(float(p_s))
-            except ValueError:
-                if freqs:
-                    raise ValueError(f"{path}: bad spectrum row {ln!r}") from None
-                continue  # header
+    for ln in read_text(path, "spectrum CSV").splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        f_s, _, p_s = ln.partition(",")
+        try:
+            freqs.append(float(f_s))
+            powers.append(float(p_s))
+        except ValueError:
+            if freqs:
+                raise ValueError(f"{path}: bad spectrum row {ln!r}") from None
+            continue  # header
     if len(freqs) < 3:
         raise ValueError(f"{path}: not enough spectrum points")
     return np.asarray(freqs), np.asarray(powers)
@@ -238,33 +238,29 @@ def load_measurements(path) -> MeasurementSet:
     """Descriptor INI: one [line.X] section per clock line with ssb_db and
     either p0_dbm or applied_dbm/returned_dbm; a [chop] section with
     f_clock, active_len, zero_len; optional [regions] fractions."""
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise OSError(f"cannot read measurement file {path!r}")
-    if "chop" not in cp:
-        raise ValueError("measurement file lacks a [chop] section")
-    f_clock = cp.getfloat("chop", "f_clock")
-    active = cp.getint("chop", "active_len")
-    zero = cp.getint("chop", "zero_len")
+    ini = IniFile(path, "measurement descriptor")
+    f_clock = ini.get("chop", "f_clock")
+    active = ini.get("chop", "active_len", int)
+    zero = ini.get("chop", "zero_len", int)
     f_mod = chop_fundamental(f_clock, active, zero)
     lines = {}
-    for section in cp.sections():
+    for section, keys in ini.sections.items():
         if not section.startswith("line."):
+            if section not in ("chop", "regions"):
+                raise ValueError(f"{path}: unknown section [{section}]")
             continue
         name = section.split(".", 1)[1]
-        if cp.has_option(section, "p0_dbm"):
-            p0 = cp.getfloat(section, "p0_dbm")
+        if "p0_dbm" in keys:
+            p0 = ini.get(section, "p0_dbm")
         else:
             p0 = p0_from_applied_returned(
-                cp.getfloat(section, "applied_dbm"),
-                cp.getfloat(section, "returned_dbm"),
+                ini.get(section, "applied_dbm"),
+                ini.get(section, "returned_dbm"),
             )
         lines[name] = SidebandMeasurement(
-            p0, cp.getfloat(section, "ssb_db"), f_clock, f_mod
+            p0, ini.get(section, "ssb_db"), f_clock, f_mod
         )
     if not lines:
-        raise ValueError("measurement file defines no clock lines")
-    fractions = {}
-    if "regions" in cp:
-        fractions = {k: float(v) for k, v in cp["regions"].items()}
+        raise ValueError(f"{path}: measurement file defines no clock lines")
+    fractions = {k: ini.get("regions", k) for k in ini.sections.get("regions", {})}
     return MeasurementSet(lines, fractions)

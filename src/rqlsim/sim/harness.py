@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..units import read_text
+
 LFSR16_TAPS = 0xB400  # x^16 + x^14 + x^13 + x^11 + 1, maximal length
 DEFAULT_SEED = 0xACE1
 
@@ -123,16 +125,7 @@ class InputProgram:
     @classmethod
     def from_file(cls, path) -> "InputProgram":
         """A UTF-8 text file of ``0``/``1`` characters; whitespace is ignored."""
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(
-                f"{path}: not a UTF-8 bit-string file "
-                f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})"
-            ) from None
-        text = "".join(text.split())
+        text = "".join(read_text(path, "bit-string file").split())
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"{path}: expected a bit-string file")
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))

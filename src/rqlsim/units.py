@@ -1,7 +1,10 @@
-"""Unit helpers: frequency strings, dBm to watts and SI formatting."""
+"""Unit helpers: frequency strings, dBm to watts and SI formatting, and the
+one reader of input files, ``read_text`` (UTF-8) and ``IniFile`` (INI), whose
+every fault is a ``ValueError`` that names the file."""
 
 from __future__ import annotations
 
+import configparser
 import math
 import re
 
@@ -72,3 +75,45 @@ def format_si(value: float, unit: str, digits: int = 3) -> str:
     }
     scaled = value / 10.0 ** exp
     return f"{scaled:.{digits}g} {prefixes[exp]}{unit}"
+
+
+def read_text(path, what: str) -> str:
+    """The file at ``path`` decoded as UTF-8; other bytes raise
+    ``ValueError`` naming the file as a ``what``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not a UTF-8 {what} "
+            f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})"
+        ) from None
+
+
+class IniFile:
+    """An INI file parsed once: UTF-8, ``%`` a plain character, ``[DEFAULT]``
+    an ordinary section, a repeated section or key refused.  Every fault is
+    a one-line ``ValueError`` naming the file."""
+
+    def __init__(self, path, what: str):
+        cp = configparser.ConfigParser(interpolation=None, default_section="")
+        try:
+            cp.read_file(read_text(path, what).splitlines(), source=str(path))
+        except configparser.Error as exc:
+            raise ValueError(" ".join(str(exc).split())) from None
+        self.path = path
+        self.sections = {name: dict(cp[name]) for name in cp.sections()}
+
+    def get(self, section: str, key: str, kind=float, default=None):
+        """``[section] key`` converted by ``kind`` (``int`` or ``float``);
+        ``default`` when the key is absent, which is an error without one."""
+        value = self.sections.get(section, {}).get(key)
+        if value is None and default is not None:
+            return default
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            want = "an integer" if kind is int else "a number"
+            fault = "is missing" if value is None else f"= {value!r} is not {want}"
+            raise ValueError(f"{self.path}: [{section}] {key} {fault}") from None

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from rqlsim import power
 from rqlsim.cli import main
 from rqlsim.gates import GateKind
 from rqlsim.netlist import Netlist, Pin
@@ -864,9 +865,10 @@ class TestSidebandsCmd:
         [
             (["--q", "nan", "--p0q", "-2.0"], "SSB ratio must be negative"),
             (["--q", "-69.3", "--p0q", "nan"], "carrier power must be finite"),
+            (["--q", "-69.3", "--p0q", "5000"], "within +/-1000 dBm, got 5000.0"),
             (["--q", "-69.3"], "or --q/--i with --p0q/--p0i"),
         ],
-        ids=["q-nan", "p0q-nan", "p0-missing"],
+        ids=["q-nan", "p0q-nan", "p0q-overflow", "p0-missing"],
     )
     def test_bad_line_is_usage_error(self, tmp_path, capsys, argv, message):
         other = ["--i", "-79.3", "--p0i", "-2.4"]
@@ -970,6 +972,125 @@ class TestScenarioAndSpectrumInputs:
         assert code == 0
         payload = json.loads((out / "sidebands.json").read_text())
         assert abs(payload["p_total_w"] - 1.25e-6) / 1.25e-6 < 0.02
+
+    @pytest.mark.parametrize("seq, spread", [(8, 4.85), (24, 14.55)])
+    def test_scenario_sets_the_timing_spread(self, tmp_path, capsys, seq, spread):
+        scen = tmp_path / "vlsi.ini"
+        scen.write_text(
+            "[scenario]\nn_devices = 2e6\nic_avg = 100e-6\nfrequency = 10e9\n"
+            f"seq_junctions_per_phase = {seq}\n"
+        )
+        code, out = run(tmp_path, "power", "--scenario", str(scen))
+        assert code == 0
+        assert f"timing spread        {spread:.2f} ps" in capsys.readouterr().out
+        budget = json.loads((out / "power.json").read_text())["budget"]
+        assert budget["timing_spread_ps"] == pytest.approx(
+            power.timing_spread_ps(0.10, 8) * seq / 8
+        )
+
+
+# One valid file of each INI kind, and the command that reads it.
+_SCENARIO = "[scenario]\nn_devices = 815\nic_avg = 162e-6\nfrequency = 10e9\n"
+_DESCRIPTOR = (
+    "[chop]\nf_clock = 6.2e9\nactive_len = 12000\nzero_len = 12000\n"
+    "[line.Q]\np0_dbm = -2.0\nssb_db = -69.3\n[regions]\ncla_core = 0.42\n"
+)
+_INI_KINDS = {
+    "gate table": ("[AndOr]\njj_count = 10\n", ["--config", "FILE", "gen"]),
+    "scenario": (_SCENARIO, ["power", "--scenario", "FILE"]),
+    "descriptor": (_DESCRIPTOR, ["sidebands", "--measurements", "FILE"]),
+}
+
+
+class TestInputFiles:
+    """Every input file is read by one reader: a malformed file of any kind
+    is a usage error that names the file, and the section and key where
+    there is one."""
+
+    def _refused(self, tmp_path, capsys, kind, text, message):
+        argv = _INI_KINDS[kind][1]
+        path = tmp_path / "input.ini"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        assert_usage_error(tmp_path, capsys, argv, message.format(path=path))
+
+    @pytest.mark.parametrize("kind", ["gate table", "scenario"])
+    def test_no_section_header(self, tmp_path, capsys, kind):
+        text = _INI_KINDS[kind][0].split("\n", 1)[1]
+        self._refused(
+            tmp_path, capsys, kind, text,
+            "File contains no section headers. file: '{path}', line: 1",
+        )
+
+    @pytest.mark.parametrize("kind", sorted(_INI_KINDS))
+    def test_repeated_key(self, tmp_path, capsys, kind):
+        valid = _INI_KINDS[kind][0]
+        header, first, rest = valid.split("\n", 2)
+        key = first.split(" = ")[0]
+        self._refused(
+            tmp_path, capsys, kind, f"{header}\n{first}\n{first}\n{rest}",
+            f"While reading from '{{path}}' [line 3]: option '{key}' in section "
+            f"'{header[1:-1]}' already exists",
+        )
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("gate table", "[AndOr]\nic_avg = 5%\n",
+             "{path}: [AndOr] ic_avg = '5%' is not a number"),
+            ("gate table", "[AndOr]\njj_count = x\n",
+             "{path}: [AndOr] jj_count = 'x' is not an integer"),
+            ("scenario", "[scenario]\nic_avg = 162e-6\nfrequency = 10e9\n",
+             "{path}: [scenario] n_devices is missing"),
+            ("scenario", _SCENARIO + "seq_junctions_per_phase = 8.5\n",
+             "{path}: [scenario] seq_junctions_per_phase = '8.5' is not an integer"),
+            ("descriptor", _DESCRIPTOR.replace("f_clock = 6.2e9\n", ""),
+             "{path}: [chop] f_clock is missing"),
+            ("descriptor", _DESCRIPTOR.replace("0.42", "abc"),
+             "{path}: [regions] cla_core = 'abc' is not a number"),
+            ("descriptor", "[DEFAULT]\nssb_db = -60\n" + _DESCRIPTOR,
+             "{path}: unknown section [DEFAULT]"),
+            ("gate table", b"[AndOr]\njj_count = 1\xff\n",
+             "{path}: not a UTF-8 gate table (byte 0xff at offset 20)"),
+        ],
+        ids=["percent", "int", "missing-key", "float-for-int", "missing-chop-key",
+             "region", "default-section", "not-utf8"],
+    )
+    def test_bad_value_names_file_section_and_key(
+        self, tmp_path, capsys, kind, text, message
+    ):
+        self._refused(tmp_path, capsys, kind, text, message)
+
+    @pytest.mark.parametrize("option", ["validate", "--vectors"])
+    def test_non_utf8_text_file_names_the_path(
+        self, tmp_path, netlist_file, capsys, option
+    ):
+        path = tmp_path / "latin1"
+        if option == "validate":
+            raw = netlist_file.read_bytes().replace(b"region=io", b"region=\xe9o", 1)
+            argv, what = ["validate", str(path)], "netlist"
+        else:
+            raw = b"1 2\n\xe93 4\n"
+            argv = ["sim", "--netlist", str(netlist_file), "--vectors", str(path)]
+            what = "vectors file"
+        path.write_bytes(raw)
+        offset = raw.index(b"\xe9")
+        assert_usage_error(
+            tmp_path, capsys, argv,
+            f"{path}: not a UTF-8 {what} (byte 0xe9 at offset {offset})",
+        )
+
+    @pytest.mark.parametrize("text", ["", "# A B\n\n  # none\n"])
+    def test_vectors_file_without_a_vector_is_usage_error(
+        self, tmp_path, netlist_file, capsys, text
+    ):
+        path = tmp_path / "vecs.txt"
+        path.write_text(text)
+        assert_usage_error(
+            tmp_path, capsys,
+            ["sim", "--netlist", str(netlist_file), "--vectors", str(path), "--check"],
+            f"{path}: the vectors file holds no 'A B' line",
+        )
 
 
 class TestReport:

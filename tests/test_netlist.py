@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import tempfile
 from pathlib import Path
@@ -216,6 +218,86 @@ def _mutant_text(draw):
     return "\n".join(lines) + "\n"
 
 
+# One valid file of every other kind the CLI reads, and a command that reads
+# it; NETLIST is the valid 4-bit netlist above.
+_F_MOD = 6.2e9 / 24000  # the chop fundamental of sidebands' defaults
+_SPECTRUM_DBM = {0: -2.0, -1: -71.3, 1: -71.3}  # carrier and first sidebands
+_INPUT_FILES = {
+    "gate-table": (
+        "[AndOr]\njj_count = 10\nic_avg = 162\nseq_depth = 4\n[Split]\njj_count = 2\n",
+        ["--config", "FILE", "gen", "--width", "4"],
+    ),
+    "scenario": (
+        "[scenario]\nn_devices = 815\nic_avg = 162e-6\nfrequency = 10e9\n"
+        "margin_frac = 0.1\nline_impedance = 50\nseq_junctions_per_phase = 8\n",
+        ["power", "--scenario", "FILE"],
+    ),
+    "descriptor": (
+        "[chop]\nf_clock = 6.2e9\nactive_len = 12000\nzero_len = 12000\n"
+        "[line.Q]\np0_dbm = -2.0\nssb_db = -69.3\n"
+        "[line.I]\napplied_dbm = -1.9\nreturned_dbm = -2.9\nssb_db = -79.3\n"
+        "[regions]\ncla_core = 0.42\n",
+        ["sidebands", "--measurements", "FILE"],
+    ),
+    "vectors": (
+        "# A B\n1 2\nf,f\n0 0\n",
+        ["sim", "--netlist", "NETLIST", "--vectors", "FILE", "--check"],
+    ),
+    "serial": (
+        "0101100111010010\n",
+        ["sim", "--netlist", "NETLIST", "--serial", "FILE", "--check"],
+    ),
+    "spectrum": (
+        "frequency_hz,power_dbm\n"
+        + "".join(
+            f"{6.2e9 + k * _F_MOD:.3f},{_SPECTRUM_DBM.get(k, -120.0)}\n"
+            for k in range(-3, 4)
+        ),
+        ["sidebands", "--spectrum-q", "FILE"],
+    ),
+}
+_LINE_TOKENS = st.sampled_from(
+    [b"", b"x", b"5%", b"-60", b"nan", b"1e400", b"8.5", b"0", b"1e300",
+     b"[DEFAULT]", b"[chop]", b"[AndOr]", b"ssb_db = -60", b"jj_count = 3",
+     b"1 2", b"0101", b" continued", b"\xff", b"\xc3"]
+)
+
+
+@st.composite
+def _mutated_file(draw, text):
+    """``text`` with one to three lines deleted, repeated, given a drawn
+    value after their last ``=``, ``,`` or space, or a drawn line inserted
+    before them; the tokens include non-UTF-8 bytes."""
+    lines = text.encode().split(b"\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "repeat", "value", "insert"]))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "value":
+            cut = max(lines[i].rfind(c) for c in b"=, ") + 1
+            lines[i] = lines[i][:cut] + draw(_LINE_TOKENS)
+        else:
+            lines.insert(i, draw(_LINE_TOKENS))
+    return b"\n".join(lines)
+
+
+def _assert_clean_exit(argv, out):
+    """``cli.main(argv)`` raises nothing; exit 1 only under ``--check`` or
+    ``validate``; exit 2 or 3 prints one ``rqlsim:`` line and no ``--out``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--out", str(out), *argv])
+    assert code in (0, 1, 2, 3)
+    assert code != 1 or "--check" in argv or "validate" in argv
+    if code >= 2:
+        assert err.getvalue().startswith("rqlsim: ")
+        assert err.getvalue().count("\n") == 1
+        assert not out.exists()
+
+
 class TestRulesUnderMutation:
     @settings(max_examples=200, deadline=None)
     @given(_mutant_text())
@@ -252,11 +334,20 @@ class TestRulesUnderMutation:
             path = Path(tmp, "mutant.rqlnet")
             path.write_text(text)
             for k, argv in enumerate(self.CLI_RUNS):
-                out = Path(tmp, f"out{k}")
                 argv = [str(path) if a == "NETLIST" else a for a in argv]
-                code = main(["--out", str(out), *argv])
-                assert code in (0, 1, 2)
-                assert code != 2 or not out.exists()
+                _assert_clean_exit(argv, Path(tmp, f"out{k}"))
+
+    @pytest.mark.parametrize("kind", sorted(_INPUT_FILES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_cli_exits_cleanly_on_mutated_input_files(self, kind, data):
+        text, argv = _INPUT_FILES[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            netlist, path = Path(tmp, "valid.rqlnet"), Path(tmp, f"mutant.{kind}")
+            netlist.write_text("\n".join(_VALID_LINES) + "\n")
+            path.write_bytes(data.draw(_mutated_file(text)))
+            files = {"NETLIST": str(netlist), "FILE": str(path)}
+            _assert_clean_exit([files.get(a, a) for a in argv], Path(tmp, "out"))
 
 
 class TestStats:

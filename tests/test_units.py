@@ -3,6 +3,7 @@ import math
 import pytest
 
 from rqlsim.units import (
+    IniFile,
     dbm_to_watts,
     format_si,
     parse_frequency,
@@ -54,3 +55,27 @@ def test_format_si():
     assert format_si(1.25e-6, "W") == "1.25 uW"
     assert format_si(10e9, "Hz") == "10 GHz"
     assert format_si(0, "W") == "0 W"
+
+
+class TestIniFile:
+    def test_rules(self, tmp_path):
+        path = tmp_path / "a.ini"
+        path.write_text("[DEFAULT]\nKey = 5%\n[a]\nn = 3\n")
+        ini = IniFile(path, "test file")
+        # [DEFAULT] is an ordinary section, keys are case-insensitive and
+        # % is a plain character.
+        assert ini.sections == {"DEFAULT": {"key": "5%"}, "a": {"n": "3"}}
+        assert ini.get("a", "n", int) == 3
+        assert ini.get("a", "x", float, 1.5) == 1.5
+        with pytest.raises(ValueError, match=r"a.ini: \[a\] x is missing$"):
+            ini.get("a", "x")
+
+    def test_repeated_section_is_refused(self, tmp_path):
+        path = tmp_path / "a.ini"
+        path.write_text("[a]\nn = 3\n[a]\n")
+        with pytest.raises(ValueError, match="section 'a' already exists"):
+            IniFile(path, "test file")
+
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            IniFile(tmp_path / "nope.ini", "test file")
