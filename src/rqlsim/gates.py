@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .units import IniFile
+from .units import IniFile, located
 
 # Magnetic flux quantum h/2e in V*s (2.068 mV*ps).
 PHI0_VS = 2.068e-15
@@ -118,8 +118,8 @@ def load_gate_table(path) -> dict[GateKind, GateSpec]:
         except ValueError:
             raise ValueError(f"unknown gate kind {section!r} in {path}") from None
         base = table[kind]
-        table[kind] = GateSpec(
-            kind,
+        table[kind] = located(
+            f"{path}: [{section}]", GateSpec, kind,
             ini.get(section, "jj_count", int, base.jj_count),
             ini.get(section, "ic_avg", float, base.ic_avg_ua),
             ini.get(section, "seq_depth", int, base.seq_depth),

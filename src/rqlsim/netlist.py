@@ -29,7 +29,7 @@ from .gates import (
     GateSpec,
     PhaseSlot,
 )
-from .units import read_text
+from .units import located, read_text
 
 NETLIST_FORMAT = "rqlnet 1"
 
@@ -236,7 +236,7 @@ class Netlist:
 
     @classmethod
     def load(cls, path) -> "Netlist":
-        return cls.loads(read_text(path, "netlist"))
+        return located(f"{path}:", cls.loads, read_text(path, "netlist"))
 
 
 def _parse_gate(rest: str) -> Gate:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .gates import N_OUTPUTS, NOMINAL_JUNCTION_DELAY_PS, PHI0_VS
 from .netlist import Netlist
 from .sim.logic import SimTrace, switching_activity
-from .units import IniFile
+from .units import IniFile, located
 
 DYNAMIC_PREFACTOR = 0.33
 
@@ -114,12 +114,11 @@ class ScalingScenario:
     seq_junctions_per_phase: int = 8
 
     def __post_init__(self):
-        for name in ("n_devices", "ic_avg_a", "frequency_hz", "line_impedance_ohm"):
+        for name in ("n_devices", "ic_avg_a", "frequency_hz", "line_impedance_ohm",
+                     "seq_junctions_per_phase"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
-                raise ValueError(
-                    f"scenario {name} must be finite and > 0, got {value!r}"
-                )
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not 0.0 < self.margin_frac < 1.0:
             raise ValueError("margin_frac must be in (0, 1)")
 
@@ -194,7 +193,8 @@ def load_scenario(path) -> ScalingScenario:
     the gate table): n_devices, ic_avg (amps), frequency (Hz), optional
     margin_frac, line_impedance, seq_junctions_per_phase."""
     ini = IniFile(path, "scenario file")
-    return ScalingScenario(
+    return located(
+        f"{path}: [scenario]", ScalingScenario,
         n_devices=ini.get("scenario", "n_devices"),
         ic_avg_a=ini.get("scenario", "ic_avg"),
         frequency_hz=ini.get("scenario", "frequency"),

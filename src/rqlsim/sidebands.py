@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import IniFile, dbm_to_watts, read_text
+from .units import IniFile, dbm_to_watts, located, read_text
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,8 @@ def read_spectrum_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if freqs:
                 raise ValueError(f"{path}: bad spectrum row {ln!r}") from None
             continue  # header
+        if not abs(powers[-1]) < 1000:  # 10 ** (p / 10) overflows past 3082 dBm
+            raise ValueError(f"{path}: spectrum row {ln!r} lies outside +/-1000 dBm")
     if len(freqs) < 3:
         raise ValueError(f"{path}: not enough spectrum points")
     return np.asarray(freqs), np.asarray(powers)
@@ -217,7 +219,7 @@ def measure_from_spectrum(
         return idx
 
     k0 = nearest(f_carrier_hz)
-    p0 = powers[k0]
+    p0 = float(powers[k0])
     p_lo = powers[nearest(freqs[k0] - f_mod_hz)]
     p_hi = powers[nearest(freqs[k0] + f_mod_hz)]
     mean_w = 0.5 * (10.0 ** (p_lo / 10.0) + 10.0 ** (p_hi / 10.0))
@@ -242,7 +244,7 @@ def load_measurements(path) -> MeasurementSet:
     f_clock = ini.get("chop", "f_clock")
     active = ini.get("chop", "active_len", int)
     zero = ini.get("chop", "zero_len", int)
-    f_mod = chop_fundamental(f_clock, active, zero)
+    f_mod = located(f"{path}: [chop]", chop_fundamental, f_clock, active, zero)
     lines = {}
     for section, keys in ini.sections.items():
         if not section.startswith("line."):
@@ -257,8 +259,9 @@ def load_measurements(path) -> MeasurementSet:
                 ini.get(section, "applied_dbm"),
                 ini.get(section, "returned_dbm"),
             )
-        lines[name] = SidebandMeasurement(
-            p0, ini.get(section, "ssb_db"), f_clock, f_mod
+        lines[name] = located(
+            f"{path}: [{section}]", SidebandMeasurement,
+            p0, ini.get(section, "ssb_db"), f_clock, f_mod,
         )
     if not lines:
         raise ValueError(f"{path}: measurement file defines no clock lines")

@@ -3,9 +3,9 @@
 Stimuli travel packed: vector i sits at bit i % 64 of word i // 64.
 ``transpose64`` turns 64 operand values into 64 such words, one per operand
 bit, and back.  ``run_program`` takes the words per input name and returns
-the full slot/word value matrix; ``_eval_groups`` evaluates it in blocks of
-``_BLOCK_WORDS`` words, one numpy op per group of the levelized schedule
-``encode`` builds.
+their slot/word value matrix, one numpy op per group of the levelized
+schedule ``encode`` builds; ``simulate_logic`` calls it once per block of
+vectors, which bounds the matrix.
 """
 
 from __future__ import annotations
@@ -13,12 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .encode import OP_AND, OP_ANDNOT, OP_OR, Program
-
-# Words evaluated at a time.  On the 64-bit adder (2854 slots) at 120k
-# vectors, blocks of 128 / 256 / 512 / 1024 words and the whole matrix took
-# a median 37 / 26 / 23 / 27 / 37 ms: small blocks pay numpy's per-call
-# cost once more per group, large ones leave the cache.
-_BLOCK_WORDS = 512
 
 # Round j of the 64 x 64 bit transpose swaps bit j of the row index with bit
 # j of the column index; the mask keeps the columns whose bit j is clear.
@@ -61,17 +55,15 @@ def transpose64(blocks: np.ndarray) -> None:
 
 
 def _eval_groups(groups, values: np.ndarray) -> None:
-    for w0 in range(0, values.shape[1], _BLOCK_WORDS):
-        block = values[:, w0 : w0 + _BLOCK_WORDS]
-        for op, dst, a, b in groups:
-            x = block[a]
-            if op == OP_OR:
-                x |= block[b]
-            elif op == OP_AND:
-                x &= block[b]
-            elif op == OP_ANDNOT:
-                x &= ~block[b]
-            block[dst] = x  # OP_BUF copies its source
+    for op, dst, a, b in groups:
+        x = values[a]
+        if op == OP_OR:
+            x |= values[b]
+        elif op == OP_AND:
+            x &= values[b]
+        elif op == OP_ANDNOT:
+            x &= ~values[b]
+        values[dst] = x  # OP_BUF copies its source
 
 
 def run_program(

@@ -5,13 +5,12 @@ values are those of plain combinational evaluation, offset by the pipeline
 depth in cycles.  Switching events are counted per gate output pin asserting
 a logical one, since only ones dissipate power.
 
-``simulate_logic`` packs the operands with one 64 x 64 bit transpose per 64
-vectors (``engine.transpose64``), so column i of the result holds bit i of
-every operand as words, and hands those to ``engine.run_program``.  It reads
-the sums back from the slot/word value matrix with the same transpose,
-counts events per gate with one popcount ``reduceat``, and per wave with a
-carry-save adder tree over bit planes (a vertical population count, see
-``_wave_events``).
+``simulate_logic`` holds one block of ``_BLOCK_WORDS`` words of the slot/word
+value matrix at a time.  Per block it packs the operands with one 64 x 64 bit
+transpose per 64 vectors (``engine.transpose64``) for ``engine.run_program``,
+reads the sums back with the same transpose, adds the per-slot popcounts into
+a running total, and counts events per wave with a carry-save adder tree
+over bit planes (a vertical population count, see ``_wave_events``).
 """
 
 from __future__ import annotations
@@ -26,7 +25,11 @@ from . import engine
 from .encode import encode
 
 # Rows of trace.csv formatted at a time, which bounds the writer's memory.
-_CSV_ROWS = 1 << 15
+_CSV_ROWS = 1 << 13
+# Words of vectors simulated at a time.  On the 64-bit adder at 120k vectors,
+# 128 / 256 / 512 / 1024-word blocks took a median 152 / 134 / 138 / 137 ms,
+# and `sim --prbs --check` peaked at 44 / 49 / 61 / 83 MB RSS.
+_BLOCK_WORDS = 256
 # Words of slot values reduced at a time for per-wave events.
 _COUNT_WORDS = 64
 _DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
@@ -213,31 +216,38 @@ def simulate_logic(netlist: Netlist, vectors) -> SimTrace:
         raise ValueError(f"netlist lacks adder port(s) {', '.join(missing)}")
 
     program = encode(netlist)
-    n_words = -(-n // 64)
-    a_rows, b_rows = (_bit_rows(v, n_words) for v in (a_vals, b_vals))
-    # uint64 operands have no bit 64 and up: a wider netlist gets zeros there.
-    no_bit = np.zeros(n_words, dtype=np.uint64)
-    input_words = {}
-    for i in range(netlist.width):
-        input_words[f"A{i}"] = a_rows[:, i] if i < 64 else no_bit
-        input_words[f"B{i}"] = b_rows[:, i] if i < 64 else no_bit
-    values = engine.run_program(program, input_words, n)
-
     sum_slots = [program.output_slots[f"S{i}"] for i in range(min(netlist.width, 64))]
-    rows = np.zeros((n_words, 64), dtype=np.uint64)
-    rows[:, : len(sum_slots)] = values[sum_slots].T
-    engine.transpose64(rows)
-    sums = rows.reshape(-1)[:n]
+    cout_slot = program.output_slots.get("Cout")
+    n_words = -(-n // 64)
+    sums = np.empty(n, dtype=np.uint64)
+    cout_words = np.empty(n_words, dtype=np.uint64)
+    slot_pops = np.zeros(program.n_slots, dtype=np.int64)
+    wave_events = np.empty(n, dtype=np.int64)
+    # uint64 operands have no bit 64 and up: a wider netlist gets zeros there.
+    no_bit = np.zeros(_BLOCK_WORDS, dtype=np.uint64)
+    for w0 in range(0, n_words, _BLOCK_WORDS):
+        v0, v1 = w0 * 64, min(n, (w0 + _BLOCK_WORDS) * 64)
+        words = -(-(v1 - v0) // 64)
+        a_rows, b_rows = (_bit_rows(v[v0:v1], words) for v in (a_vals, b_vals))
+        input_words = {}
+        for i in range(netlist.width):
+            input_words[f"A{i}"] = a_rows[:, i] if i < 64 else no_bit[:words]
+            input_words[f"B{i}"] = b_rows[:, i] if i < 64 else no_bit[:words]
+        values = engine.run_program(program, input_words, v1 - v0)
+        rows = np.zeros((words, 64), dtype=np.uint64)
+        rows[:, : len(sum_slots)] = values[sum_slots].T
+        engine.transpose64(rows)
+        sums[v0:v1] = rows.reshape(-1)[: v1 - v0]
+        if cout_slot is not None:
+            cout_words[w0 : w0 + words] = values[cout_slot]
+        slot_pops += np.bitwise_count(values).sum(axis=1, dtype=np.int64)
+        wave_events[v0:v1] = _wave_events(values, v1 - v0)
+
     couts = None
-    if "Cout" in program.output_slots:
-        cout_words = values[program.output_slots["Cout"]]
+    if cout_slot is not None:
         couts = np.unpackbits(cout_words.view(np.uint8), bitorder="little")[:n]
-
     # Each gate owns the contiguous slots from its first to the next gate's.
-    slot_pops = np.bitwise_count(values).sum(axis=1, dtype=np.int64)
     gate_events = np.add.reduceat(slot_pops, program.gate_starts)
-
-    wave_events = _wave_events(values, n)
 
     offset = math.ceil(netlist.total_phases / 4)
     return SimTrace(

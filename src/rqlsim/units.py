@@ -91,6 +91,14 @@ def read_text(path, what: str) -> str:
         ) from None
 
 
+def located(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ``ValueError`` led by ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
+
+
 class IniFile:
     """An INI file parsed once: UTF-8, ``%`` a plain character, ``[DEFAULT]``
     an ordinary section, a repeated section or key refused.  Every fault is

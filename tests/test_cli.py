@@ -123,7 +123,7 @@ class TestValidateCmd:
         code, _ = run(tmp_path, "validate", str(bad))
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"rqlsim: line {k + 1}: ")
+        assert err.startswith(f"rqlsim: {bad}: line {k + 1}: ")
         assert "Traceback" not in err
 
 
@@ -1052,9 +1052,25 @@ class TestInputFiles:
              "{path}: unknown section [DEFAULT]"),
             ("gate table", b"[AndOr]\njj_count = 1\xff\n",
              "{path}: not a UTF-8 gate table (byte 0xff at offset 20)"),
+            ("gate table", "[AndOr]\nseq_depth = 50\n",
+             "{path}: [AndOr] AndOr: seq_depth 50 exceeds jj_count 10"),
+            ("gate table", "[Split]\njj_count = -1\n",
+             "{path}: [Split] junction counts must be non-negative"),
+            ("scenario", _SCENARIO + "seq_junctions_per_phase = -3\n",
+             "{path}: [scenario] seq_junctions_per_phase must be finite and > 0, got -3"),
+            ("scenario", _SCENARIO + "seq_junctions_per_phase = 0\n",
+             "{path}: [scenario] seq_junctions_per_phase must be finite and > 0, got 0"),
+            ("scenario", _SCENARIO.replace("815", "-815"),
+             "{path}: [scenario] n_devices must be finite and > 0, got -815.0"),
+            ("descriptor", _DESCRIPTOR.replace("-69.3", "3"),
+             "{path}: [line.Q] SSB ratio must be negative (below the carrier), got 3.0"),
+            ("descriptor", _DESCRIPTOR.replace("zero_len = 12000", "zero_len = 0"),
+             "{path}: [chop] chop block lengths must be positive"),
         ],
         ids=["percent", "int", "missing-key", "float-for-int", "missing-chop-key",
-             "region", "default-section", "not-utf8"],
+             "region", "default-section", "not-utf8", "seq-depth", "negative-jj",
+             "seq-junctions-negative", "seq-junctions-zero", "n-devices",
+             "ssb-positive", "chop-zero"],
     )
     def test_bad_value_names_file_section_and_key(
         self, tmp_path, capsys, kind, text, message
@@ -1078,6 +1094,31 @@ class TestInputFiles:
         assert_usage_error(
             tmp_path, capsys, argv,
             f"{path}: not a UTF-8 {what} (byte 0xe9 at offset {offset})",
+        )
+
+    def test_bad_netlist_record_names_the_file(self, tmp_path, netlist_file, capsys):
+        path = tmp_path / "bad.rqlnet"
+        lines = netlist_file.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith("gate "))
+        lines[k] = re.sub(r"phase=\d+", "phase=zz", lines[k])
+        path.write_text("\n".join(lines) + "\n")
+        assert_usage_error(
+            tmp_path, capsys, ["validate", str(path)],
+            f"{path}: line {k + 1}: bad gate record: invalid literal for int()",
+        )
+
+    @pytest.mark.parametrize("power_dbm", ["1e300", "-1e300", "1000", "inf"])
+    def test_spectrum_power_out_of_range_names_the_row(
+        self, tmp_path, capsys, power_dbm
+    ):
+        path = tmp_path / "spectrum.csv"
+        path.write_text(
+            "frequency_hz,power_dbm\n6199999000,-70\n"
+            f"6200000000,-2\n6200001000,{power_dbm}\n"
+        )
+        assert_usage_error(
+            tmp_path, capsys, ["sidebands", "--spectrum-q", str(path)],
+            f"{path}: spectrum row '6200001000,{power_dbm}' lies outside +/-1000 dBm",
         )
 
     @pytest.mark.parametrize("text", ["", "# A B\n\n  # none\n"])

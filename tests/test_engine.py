@@ -1,6 +1,8 @@
-"""The levelized, word-blocked kernel and the bit transpose against the
-row-by-row kernel and the per-bit packing they replaced, kept here as the
-reference."""
+"""The levelized kernel, the word-blocked ``simulate_logic`` and the bit
+transpose against the row-by-row kernel and the per-bit packing they
+replaced, kept here as the reference."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +10,11 @@ import pytest
 from rqlsim import build_kogge_stone
 from rqlsim.gates import DEFAULT_GATE_TABLE, GateKind
 from rqlsim.netlist import Gate, Netlist, Pin
-from rqlsim.sim import engine, simulate_logic
+from rqlsim.sim import engine, logic, simulate_logic
 from rqlsim.sim.encode import OP_AND, OP_ANDNOT, OP_BUF, OP_INPUT, OP_OR, encode
 from rqlsim.sim.logic import _bit_rows
 
-BLOCK_VECTORS = engine._BLOCK_WORDS * 64
+BLOCK_VECTORS = logic._BLOCK_WORDS * 64
 SIZES = [1, 63, 64, 65, BLOCK_VECTORS - 1, BLOCK_VECTORS + 1, 120_000]
 
 
@@ -61,11 +63,18 @@ def adder64():
     return build_kogge_stone(64)
 
 
+def without_cout(netlist):
+    outputs = {k: v for k, v in netlist.outputs.items() if k != "Cout"}
+    return Netlist(netlist.gates, netlist.inputs, outputs, netlist.width,
+                   netlist.total_phases)
+
+
 NETLISTS = {
     "default8": lambda: build_kogge_stone(8),
     "default64": lambda: build_kogge_stone(64),
     "chip-ptl64": lambda: build_kogge_stone(64, chip_mode=True, ptl_length_um=300.0),
     "idle2-64": lambda: build_kogge_stone(64, idle_phases=2),
+    "no-cout8": lambda: without_cout(build_kogge_stone(8)),
 }
 
 
@@ -89,6 +98,55 @@ def test_value_matrix_matches_row_loop(adder64, n):
     assert np.array_equal(trace.sums, sums)
     assert np.array_equal(trace.sums, a + b)  # wraps mod 2**64
     assert np.array_equal(trace.couts, unpack_bits(want[program.output_slots["Cout"]], n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", ["default64", "chip-ptl64", "no-cout8"])
+def test_blocks_match_row_loop_at_block_edges(name, k):
+    """Every output of ``simulate_logic`` at k blocks, one vector short of
+    them and one past them, against the whole-matrix reference."""
+    netlist = NETLISTS[name]()
+    program = encode(netlist)
+    for n in (k * BLOCK_VECTORS - 1, k * BLOCK_VECTORS, k * BLOCK_VECTORS + 1):
+        a, b = operands(netlist.width, n, n)
+        trace = simulate_logic(netlist, (a, b))
+        want = row_loop(program, a, b, n)
+        sums = np.zeros(n, dtype=np.uint64)
+        for i in range(netlist.width):
+            bits = unpack_bits(want[program.output_slots[f"S{i}"]], n)
+            sums |= bits.astype(np.uint64) << np.uint64(i)
+        assert np.array_equal(trace.sums, sums)
+        if "Cout" in program.output_slots:
+            cout = unpack_bits(want[program.output_slots["Cout"]], n)
+            assert np.array_equal(trace.couts, cout)
+        else:
+            assert trace.couts is None
+        pops = np.bitwise_count(want).sum(axis=1, dtype=np.int64)
+        assert np.array_equal(trace.gate_events, np.add.reduceat(pops, program.gate_starts))
+        waves = np.zeros(n, dtype=np.int64)
+        for row in want:
+            waves += unpack_bits(row, n)
+        assert np.array_equal(trace.wave_events, waves)
+
+
+def test_memory_grows_only_by_the_per_vector_outputs(adder64):
+    """Six blocks more cost ``simulate_logic`` no more than its per-vector
+    outputs (sums, couts and wave events, about 17 B a vector, bounded here
+    at 40 B) plus a small slack: the slot/word value matrix is held one
+    block at a time."""
+
+    def peak(n_blocks):
+        a, b = operands(64, n_blocks * BLOCK_VECTORS, n_blocks)
+        tracemalloc.start()
+        try:
+            simulate_logic(adder64, (a, b))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # encode the netlist once, outside the measurement
+    extra_vectors = 6 * BLOCK_VECTORS
+    assert peak(8) - peak(2) < 40 * extra_vectors + (1 << 20)
 
 
 @pytest.mark.parametrize("name", ["chip-ptl64", "idle2-64"])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -285,11 +286,15 @@ def _mutated_file(draw, text):
 
 
 def _assert_clean_exit(argv, out):
-    """``cli.main(argv)`` raises nothing; exit 1 only under ``--check`` or
-    ``validate``; exit 2 or 3 prints one ``rqlsim:`` line and no ``--out``."""
+    """``cli.main(argv)`` raises nothing and warns nothing (a warning would
+    print to stderr); exit 1 only under ``--check`` or ``validate``; exit 2
+    or 3 prints one ``rqlsim:`` line and no ``--out``."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
         code = main(["--out", str(out), *argv])
+    assert [str(w.message) for w in warned] == []
     assert code in (0, 1, 2, 3)
     assert code != 1 or "--check" in argv or "validate" in argv
     if code >= 2:
